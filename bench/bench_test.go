@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"secstack/internal/wire"
 )
@@ -238,6 +240,26 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
+// TestAdjust checks the host-speed scaling: identity at the reference
+// speed; a host at half the reference rate doubles throughput and
+// halves p99; a doubled median chunk halves p50; nothing else moves.
+func TestAdjust(t *testing.T) {
+	m := map[string]float64{"throughput_ops_s": 1000, "latency_p50_us": 10, "latency_p99_us": 40, "heap_live_kb": 7, "setup_s": 0.5}
+	if got := adjust(m, probeResult{refProbeRate, refChunkNS}); !maps.Equal(got, m) {
+		t.Errorf("at the reference speed: %v, want %v", got, m)
+	}
+	want := map[string]float64{"throughput_ops_s": 2000, "latency_p50_us": 5, "latency_p99_us": 20, "heap_live_kb": 7, "setup_s": 0.5}
+	if got := adjust(m, probeResult{refProbeRate / 2, 2 * refChunkNS}); !maps.Equal(got, want) {
+		t.Errorf("at half speed: %v, want %v", got, want)
+	}
+	if m["throughput_ops_s"] != 1000 {
+		t.Errorf("adjust modified its input: %v", m)
+	}
+	if p := hostProbe(20 * time.Millisecond); p.rate <= 0 || p.chunkNS <= 0 {
+		t.Errorf("hostProbe = %+v", p)
+	}
+}
+
 func TestOpStreamDealsExactMix(t *testing.T) {
 	s := newOpStream(mixedMix, 3)
 	for block := range 3 {
@@ -311,7 +333,7 @@ func auditFaulty(dupAt, loseAt int) (dups, lost, alien, drainedMinusExpected int
 	for i := range prefill {
 		f.items = append(f.items, tag(pushers, int64(i)))
 	}
-	sw := &stackWorker{id: 0, ops: f, stream: newOpStream(elimMix, 9), log: newPopLog(pushers + 1)}
+	sw := &stackWorker{id: 0, ops: f, stream: newOpStream(elimMix, 9), log: newPopLog(pushers + 1), latCalls: 8}
 	for k := range sw.lat {
 		sw.lat[k] = newReservoir(8, uint64(k))
 	}

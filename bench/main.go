@@ -7,7 +7,7 @@
 //
 // Usage (from this directory):
 //
-//	go run .                          # all workloads, 30 x 1 s each
+//	go run .                          # all workloads, 45 s measured each
 //	go run . -workload served-rpc     # one workload
 //	go run . -quick                   # smoke: about 200 ms per workload
 //	go run . -sets 2 -json out.json   # repeatability: two full sets compared
@@ -69,12 +69,13 @@ var workloads = []*workload{
 			opts:     []stack.Option{stack.WithAggregators(1)},
 			explicit: true,
 			mix:      elimMix,
+			latCalls: 1, // a call takes about 1 us
 		},
 	},
 	{
 		name:  "stack-readmostly",
 		why:   "handle-free calls with default options on the paper's 10%-update mix: the per-P session cache and read path, batching nearly idle",
-		stack: &stackWorkload{mix: updateMix},
+		stack: &stackWorkload{mix: updateMix, latCalls: 8}, // a call takes about 0.1 us
 	},
 	{
 		name:   "served-rpc",
@@ -90,13 +91,13 @@ var workloads = []*workload{
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// repLength is the length of one measured repetition. On a shared
-// 2-CPU host a repetition's throughput swings by tens of percent with
-// neighbours' load and with where a fresh structure lands in memory, so
-// a workload's measured time is split into many short repetitions, each
-// on a freshly built structure or server, and every end-to-end metric
-// is their median.
-const repLength = time.Second
+// repLength is the length of one measured repetition with the host probe
+// after it. On a shared 2-CPU host a repetition's throughput swings by
+// tens of percent with neighbours' load and with where a fresh structure
+// lands in memory, so a workload's measured time is split into many
+// short repetitions, each on a freshly built structure or server, and
+// every end-to-end metric is their median.
+const repLength = 1100 * time.Millisecond
 
 // warmUp precedes a workload's measurement. A vCPU of this host that was
 // idle needs about 2 s of load to reach its full speed.
@@ -107,23 +108,29 @@ type plan struct {
 	seed   uint64
 	reps   int
 	window time.Duration // one repetition
+	probe  time.Duration // the host probe after each repetition
 	arm    time.Duration // one arm of the traced run
 	warm   time.Duration // untimed warm-up per workload
 }
 
 func newPlan(seed uint64, seconds float64, quick bool) plan {
 	if quick {
-		return plan{seed: seed, reps: 3, window: 50 * time.Millisecond, arm: 50 * time.Millisecond, warm: 50 * time.Millisecond}
+		ms := time.Millisecond
+		return plan{seed: seed, reps: 3, window: 50 * ms, probe: 10 * ms, arm: 50 * ms, warm: 50 * ms}
 	}
 	total := time.Duration(seconds * float64(time.Second))
 	reps := max(1, int(math.Round(seconds/repLength.Seconds())))
-	return plan{seed: seed, reps: reps, window: total / time.Duration(reps), arm: total / 3, warm: warmUp}
+	slot := total / time.Duration(reps)
+	probe := min(probeLength, slot/10)
+	return plan{seed: seed, reps: reps, window: slot - probe, probe: probe, arm: total / 3, warm: warmUp}
 }
 
 // wlResult is one workload's outcome in one set.
 type wlResult struct {
 	w                 *workload
-	reps              []map[string]float64 // end-to-end metrics per repetition
+	reps              []map[string]float64 // end-to-end metrics per repetition, adjusted to the reference host speed
+	raw               []map[string]float64 // the same, as measured
+	probes            []probeResult        // the host probe after each repetition
 	setups            []float64            // every set-up timed, in s
 	latSamples        int64
 	attempted, failed int64
@@ -147,11 +154,25 @@ func (r *wlResult) values(name string) []float64 {
 	if name == "setup_s" {
 		return r.setups
 	}
-	xs := make([]float64, len(r.reps))
-	for i, m := range r.reps {
+	return column(r.reps, name)
+}
+
+func column(reps []map[string]float64, name string) []float64 {
+	xs := make([]float64, len(reps))
+	for i, m := range reps {
 		xs[i] = m[name]
 	}
 	return xs
+}
+
+// probeMedians are the median rate and chunk time of the run's probes.
+func (r *wlResult) probeMedians() (rate, chunkNS float64) {
+	var rates, chunks []float64
+	for _, p := range r.probes {
+		rates = append(rates, p.rate)
+		chunks = append(chunks, p.chunkNS)
+	}
+	return median(rates), median(chunks)
 }
 
 // warmRep is the repetition number the warm-up's inputs derive from.
@@ -170,7 +191,8 @@ const setupTrials = 2
 
 // measure runs a workload's warm-up and its measured repetitions, each
 // on a freshly built structure or server, with setupTrials set-ups
-// beside each; setup_s is the median over all of those set-ups.
+// beside each and the host probe after each; setup_s is the median over
+// all of those set-ups.
 func measure(w *workload, wi int, p plan) *wlResult {
 	r := &wlResult{w: w}
 	r.absorb(w.rep(repConfig{seed: repSeed(p.seed, wi, warmRep), window: p.warm}))
@@ -180,7 +202,10 @@ func measure(w *workload, wi int, p plan) *wlResult {
 		}
 		res := w.rep(repConfig{seed: repSeed(p.seed, wi, i), window: p.window})
 		r.absorb(res)
-		r.reps = append(r.reps, res.e2e())
+		pr := hostProbe(p.probe)
+		r.raw = append(r.raw, res.e2e())
+		r.reps = append(r.reps, adjust(res.e2e(), pr))
+		r.probes = append(r.probes, pr)
 		r.latSamples += samples(res.lat)
 	}
 	return r
@@ -248,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		which     = fs.String("workload", "all", "comma-separated workloads to run, or all: "+strings.Join(names, ", "))
 		seed      = fs.Uint64("seed", 1, "seed every generated input is derived from")
-		seconds   = fs.Float64("seconds", 30, "measured seconds per workload, split evenly over the repetitions (or the traced run's arms)")
+		seconds   = fs.Float64("seconds", 45, "measured seconds per workload, split evenly over the repetitions (or the traced run's arms)")
 		quick     = fs.Bool("quick", false, "smoke run: about 200 ms per workload")
 		jsonPath  = fs.String("json", "", "also write every value, the metric definitions and the host to this file")
 		tracePath = fs.String("trace", "", "traced run: print per-layer metrics and write spans to this file")
@@ -283,8 +308,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if traced {
 		fmt.Fprintf(stdout, "# seed %d, %d workers, %v warm-up, traced run: arms of %v per workload\n", p.seed, workers(), p.warm, p.arm)
 	} else {
-		fmt.Fprintf(stdout, "# seed %d, %d workers, %v warm-up, %d x %v per workload, %d set(s)\n",
-			p.seed, workers(), p.warm, p.reps, p.window, *sets)
+		fmt.Fprintf(stdout, "# seed %d, %d workers, %v warm-up, %d x (%v + %v host probe) per workload, %d set(s)\n",
+			p.seed, workers(), p.warm, p.reps, p.window, p.probe, *sets)
 	}
 
 	// A workload's sets run back to back, so that host load drifting
@@ -353,9 +378,15 @@ func printWorkload(out io.Writer, r *wlResult) {
 			if strings.HasPrefix(d.name, "latency_") {
 				extra = fmt.Sprintf(", %d samples", r.latSamples)
 			}
+			if raw := column(r.raw, d.name); d.name != "setup_s" && !slices.Equal(raw, xs) {
+				extra += fmt.Sprintf("; as measured %.6g", median(raw))
+			}
 			fmt.Fprintf(out, "  %-18s %12.6g %-16s (median of %d, quartiles %.6g .. %.6g%s)\n",
 				d.name, q2, d.unit, len(xs), q1, q3, extra)
 		}
+		rate, chunk := r.probeMedians()
+		fmt.Fprintf(out, "  host probe: %.4g chunks/s (reference %.4g), median chunk %.0f ns (reference %.0f)\n",
+			rate, refProbeRate, chunk, refChunkNS)
 	}
 	for _, line := range r.report {
 		fmt.Fprintf(out, "  %s\n", line)
@@ -367,20 +398,35 @@ func printWorkload(out io.Writer, r *wlResult) {
 }
 
 // printAgreement prints each set's median and quartiles per workload
-// and metric, and whether every later set's median lies within the
-// metric's bound of the first set's. It reports whether all do.
+// and metric, the largest move of a later set's median from the first
+// set's, and whether that move lies within the metric's bound. A metric
+// whose sets of the same code moved further is unresolved: at its bound
+// the benchmark cannot tell a regression from the host's noise. It
+// reports whether every metric is resolved.
 func printAgreement(out io.Writer, d doc) bool {
 	ok := true
 	fmt.Fprintf(out, "== repeatability over %d sets: median [q1, q3] per set\n", len(d.Workloads[0].Metrics[0].Sets))
 	for _, wl := range d.Workloads {
 		for _, m := range wl.Metrics {
-			cols := ""
+			cols, move := "", 0.0
+			base := m.Sets[0].Median
 			for _, s := range m.Sets {
 				cols += fmt.Sprintf("  %.6g [%.6g, %.6g]", s.Median, s.Q1, s.Q3)
+				if math.Abs(s.Median-base) > math.Abs(move) {
+					move = s.Median - base
+				}
 			}
 			ok = ok && *m.Agree
-			fmt.Fprintf(out, "  %-17s %-16s%s  within ±%.6g: %s\n",
-				wl.Name, m.Name, cols, m.def.allowed(m.Sets[0].Median), yesNo(*m.Agree))
+			moved := fmt.Sprintf("%+.1f%%", 100*move/base)
+			if base == 0 {
+				moved = fmt.Sprintf("%+.6g", move)
+			}
+			verdict := "agree"
+			if !*m.Agree {
+				verdict = "UNRESOLVED"
+			}
+			fmt.Fprintf(out, "  %-17s %-16s%s  moved %s, bound ±%.6g: %s\n",
+				wl.Name, m.Name, cols, moved, m.def.allowed(base), verdict)
 		}
 	}
 	return ok
@@ -415,6 +461,7 @@ type docWload struct {
 	Name    string      `json:"name"`
 	Why     string      `json:"why"`
 	Metrics []docMetric `json:"metrics"`
+	Probes  []docProbe  `json:"host_probe,omitempty"` // per set
 	Notes   []string    `json:"violations,omitempty"`
 	Report  []string    `json:"report,omitempty"`
 }
@@ -432,6 +479,13 @@ type docSet struct {
 	Median float64   `json:"median"`
 	Q1     float64   `json:"q1"`
 	Q3     float64   `json:"q3"`
+	// Measured holds the values before adjust, for the metrics it scales.
+	Measured []float64 `json:"as_measured,omitempty"`
+}
+
+type docProbe struct {
+	Rate    float64 `json:"rate_median"`
+	ChunkNS float64 `json:"chunk_ns_median"`
 }
 
 func buildDoc(host hostInfo, p plan, seconds float64, all [][]*wlResult) doc {
@@ -453,7 +507,11 @@ func buildDoc(host hostInfo, p plan, seconds float64, all [][]*wlResult) doc {
 			for _, set := range all {
 				xs := set[wi].values(def.name)
 				q1, q2, q3 := quartiles(xs)
-				m.Sets = append(m.Sets, docSet{xs, q2, q1, q3})
+				s := docSet{Values: xs, Median: q2, Q1: q1, Q3: q3}
+				if raw := column(set[wi].raw, def.name); def.name != "setup_s" && !slices.Equal(raw, xs) {
+					s.Measured = raw
+				}
+				m.Sets = append(m.Sets, s)
 			}
 			if len(all) > 1 {
 				agree := true
@@ -468,6 +526,10 @@ func buildDoc(host hostInfo, p plan, seconds float64, all [][]*wlResult) doc {
 			d.Attempted += set[wi].attempted
 			d.Failed += set[wi].failed
 			wl.Notes = append(wl.Notes, set[wi].notes...)
+			if !d.Traced {
+				rate, chunk := set[wi].probeMedians()
+				wl.Probes = append(wl.Probes, docProbe{rate, chunk})
+			}
 		}
 		d.Workloads = append(d.Workloads, wl)
 	}

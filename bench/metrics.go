@@ -12,6 +12,9 @@ type metricDef struct {
 	unit   string
 	better string // "higher" or "lower"
 	bound  float64
+	// floor is the least absolute move the bound allows, for metrics whose
+	// share bound would be finer than their resolution near zero.
+	floor float64
 	// offLine keeps the metric off the result line, whose every value
 	// must be a measurement that moves from run to run: error_rate reads
 	// 0 on a healthy run (it reaches the line as "failed"), and a
@@ -23,17 +26,21 @@ type metricDef struct {
 }
 
 // endToEnd are the metrics a user of the stack or of secd sees. Every
-// workload reports all of them. The bounds are as wide as the run-to-run
-// spread of medians on a shared 2-CPU host requires (README.md), and
-// match BENCHMARK.json; error_rate's bound of 0 allows no increase.
+// workload reports all of them. The share bounds match BENCHMARK.json,
+// which has no room for the floors; error_rate's bound of 0 allows no
+// increase. Throughput and latencies are scaled to the reference host
+// speed (probe.go) so that runs minutes apart can be held to 10%. The
+// p99 latency of the served workloads still moved 15-20% between runs
+// of the same code, with the host's wake-up latency, so its bound is
+// 25%: a smaller p99 move is unresolved on this host (README.md).
 var endToEnd = []metricDef{
-	{name: "throughput_ops_s", unit: "ops/s", better: "higher", bound: 0.25},
-	{name: "latency_p50_us", unit: "us", better: "lower", bound: 0.25},
+	{name: "throughput_ops_s", unit: "ops/s", better: "higher", bound: 0.10},
+	{name: "latency_p50_us", unit: "us", better: "lower", bound: 0.10},
 	{name: "latency_p99_us", unit: "us", better: "lower", bound: 0.25},
 	{name: "error_rate", unit: "failed/attempted", better: "lower", offLine: true},
-	{name: "allocs_per_op", unit: "allocs/op", better: "lower", bound: 0.10},
-	{name: "heap_live_kb", unit: "KiB", better: "lower", bound: 0.25},
-	{name: "setup_s", unit: "s", better: "lower", bound: 0.25},
+	{name: "allocs_per_op", unit: "allocs/op", better: "lower", bound: 0.10, floor: 0.01},
+	{name: "heap_live_kb", unit: "KiB", better: "lower", bound: 0.10},
+	{name: "setup_s", unit: "s", better: "lower", bound: 0.25, floor: 0.005},
 }
 
 // perLayer are the traced run's metrics, one group per module the
@@ -78,7 +85,7 @@ var perLayer = []metricDef{
 // allowed is how far a median may move from base before it falls
 // outside the metric's bound.
 func (d metricDef) allowed(base float64) float64 {
-	return d.bound * math.Abs(base)
+	return max(d.bound*math.Abs(base), d.floor)
 }
 
 // agree reports whether two medians lie within the metric's bound of

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"secstack/internal/pad"
 	"secstack/internal/secclient"
 	"secstack/internal/secd"
 	"secstack/internal/wire"
@@ -33,10 +34,12 @@ type servedWorkload struct {
 	pipelined bool // raw wire connections writing bursts; otherwise secclient, one op at a time
 }
 
+// servedWorker is one load connection's state, padded like opStream.
 type servedWorker struct {
+	_      [pad.CacheLine]byte
 	id     int
 	stream *opStream
-	rng    *xrand.State
+	rng    xrand.State
 	seq    int64
 	lat    *reservoir
 	cli    *secclient.Client
@@ -49,6 +52,7 @@ type servedWorker struct {
 	every                    int64     // request k is sampled when k%every == 0
 	retries, lost            int64
 	spanRoot                 string
+	_                        [pad.CacheLine]byte
 }
 
 // acceptable is secload's rule: whether status is a valid protocol
@@ -188,7 +192,7 @@ func (w *servedWorkload) rep(rc repConfig) repResult {
 		ws[i] = &servedWorker{
 			id:     i,
 			stream: newOpStream(w.mix, rc.seed+uint64(i)*0x9e3779b9+1),
-			rng:    xrand.New(rc.seed ^ uint64(i+1)<<32),
+			rng:    *xrand.New(rc.seed ^ uint64(i+1)<<32),
 			lat:    newReservoir(reservoirSize, rc.seed^uint64(i+1)),
 			every:  max(rc.traceEvery, 1),
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"secstack/internal/pad"
 	"secstack/internal/wire"
 	"secstack/stack"
 )
@@ -14,16 +15,12 @@ import (
 const (
 	prefill = 1000
 	// Of every sampleEvery calls a worker makes, the first is timed on
-	// its own, for the per-kind call latencies, and groupLen calls from
-	// groupAt on are timed together, for the end-to-end latency: a call
-	// of under 100 ns is comparable to the two clock reads around it,
-	// and single-call latencies can be bimodal, so a p50 of single calls
-	// flips between the modes from run to run while a p50 of group
-	// means tracks the mix of the two. Sampling keeps the clock reads
-	// off the throughput.
+	// its own, for the per-kind call latencies, and the workload's
+	// latCalls calls from groupAt on are timed together, for the
+	// end-to-end latency. Sampling keeps the clock reads off the
+	// throughput.
 	sampleEvery = 64
 	groupAt     = sampleEvery / 2
-	groupLen    = 8
 	// reservoirSize bounds each latency sample a worker keeps.
 	reservoirSize = 1 << 15
 )
@@ -41,30 +38,43 @@ type stackWorkload struct {
 	opts     []stack.Option
 	explicit bool // workers Register handles; otherwise they call the stack directly
 	mix      []mixEntry
+	// latCalls is how many consecutive calls one latency sample times,
+	// reporting their mean, so that a sample lasts about a microsecond.
+	// A longer sample is hit by the host's timer interrupts often enough
+	// (about 1% of 10 us samples) that its p99 swings with them; a call
+	// of about 100 ns is comparable to the two clock reads around it,
+	// and its single-call p50 flips from run to run between two modes
+	// that an 8-call mean averages.
+	latCalls int
 }
 
 // kinds indexes the per-op-kind latency reservoirs.
 var kinds = [...]string{"push", "pop", "peek"}
 
+// stackWorker is one worker goroutine's state, padded like opStream.
 type stackWorker struct {
-	id     int
-	ops    stackOps
-	stream *opStream
-	lat    [len(kinds)]*reservoir // single calls, per kind
-	group  *reservoir             // ns per call over groups of groupLen calls
+	_        [pad.CacheLine]byte
+	id       int
+	ops      stackOps
+	stream   *opStream
+	lat      [len(kinds)]*reservoir // single calls, per kind
+	group    *reservoir             // ns per call over groups of latCalls calls
+	latCalls int
 	// pushed counts this worker's pushes; they carried tags 0..pushed-1.
 	pushed, pops, popped int64
 	attempted            int64
 	log                  *popLog // traced reps: the values this worker popped
 	spans                []span  // traced reps: sampled calls, capped
+	_                    [pad.CacheLine]byte
 }
 
 func (sw *stackWorker) run(stop *atomic.Bool) {
 	var groupStart int64
+	groupEnd := groupAt + sw.latCalls - 1
 	for i := 0; !stop.Load(); i++ {
 		op := sw.stream.next()
-		switch i % sampleEvery {
-		case 0:
+		j := i % sampleEvery
+		if j == 0 {
 			t0 := nowNS()
 			k := sw.do(op)
 			t1 := nowNS()
@@ -73,14 +83,14 @@ func (sw *stackWorker) run(stop *atomic.Bool) {
 				id := int64(sw.id)<<valueBits | int64(i+1)
 				sw.spans = append(sw.spans, span{Name: "stack." + kinds[k], ID: id, Req: id, Start: t0, End: t1})
 			}
-		case groupAt:
+			continue
+		}
+		if j == groupAt {
 			groupStart = nowNS()
-			sw.do(op)
-		case groupAt + groupLen - 1:
-			sw.do(op)
-			sw.group.add((nowNS() - groupStart) / groupLen)
-		default:
-			sw.do(op)
+		}
+		sw.do(op)
+		if j == groupEnd {
+			sw.group.add((nowNS() - groupStart) / int64(sw.latCalls))
 		}
 	}
 }
@@ -114,7 +124,7 @@ func (w *stackWorkload) rep(rc repConfig) repResult {
 	explicit := w.explicit != rc.altAPI
 	ws := make([]*stackWorker, nw)
 	for i := range ws {
-		sw := &stackWorker{id: i, stream: newOpStream(w.mix, rc.seed+uint64(i)*0x9e3779b9+1)}
+		sw := &stackWorker{id: i, stream: newOpStream(w.mix, rc.seed+uint64(i)*0x9e3779b9+1), latCalls: w.latCalls}
 		for k := range sw.lat {
 			sw.lat[k] = newReservoir(reservoirSize, rc.seed^uint64(i*len(kinds)+k+1))
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"slices"
 
+	"secstack/internal/pad"
 	"secstack/internal/xrand"
 )
 
@@ -48,15 +49,18 @@ func quartiles(xs []float64) (q1, q2, q3 float64) {
 // reservoir keeps a uniform random sample of at most cap(xs) of the
 // latencies (in ns) offered to it (Vitter's Algorithm R), so a window of
 // millions of operations yields exact-valued percentiles in bounded
-// memory. One reservoir belongs to one goroutine.
+// memory. One reservoir belongs to one goroutine, and is padded so that
+// it shares no cache line with another goroutine's (see opStream).
 type reservoir struct {
+	_    [pad.CacheLine]byte
 	seen int64
 	xs   []int64
-	rng  *xrand.State
+	rng  xrand.State
+	_    [pad.CacheLine]byte
 }
 
 func newReservoir(size int, seed uint64) *reservoir {
-	return &reservoir{xs: make([]int64, 0, size), rng: xrand.New(seed)}
+	return &reservoir{xs: make([]int64, 0, size), rng: *xrand.New(seed)}
 }
 
 func (r *reservoir) add(ns int64) {
