@@ -30,7 +30,7 @@ type metricDef struct {
 // which has no room for the floors; error_rate's bound of 0 allows no
 // increase. Throughput and latencies are scaled to the reference host
 // speed (probe.go) so that runs minutes apart can be held to 10%. The
-// p99 latency of the served workloads still moved 15-20% between runs
+// p99 latency of the served workloads still moved 9-20% between runs
 // of the same code, with the host's wake-up latency, so its bound is
 // 25%: a smaller p99 move is unresolved on this host (README.md).
 var endToEnd = []metricDef{
