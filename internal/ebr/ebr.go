@@ -18,7 +18,9 @@
 //
 // Like DEBRA (and unlike its neutralization-based successors), a thread
 // that stalls inside a critical section blocks epoch advance; bags grow
-// but safety is never violated.
+// but safety is never violated. What a stall grows is not kept: once
+// the epoch moves on, a handle keeps at most maxFree objects for reuse
+// and leaves the rest to the garbage collector.
 package ebr
 
 import (
@@ -33,6 +35,18 @@ const (
 	// advancePeriod is how many Retire calls a handle performs between
 	// attempts to advance the global epoch.
 	advancePeriod = 32
+
+	// maxFree bounds a handle's free list. While a participant stalls
+	// inside a critical section - descheduled, or yielding while it
+	// waits on a batch - the epoch stands still and every other
+	// handle's current limbo bag grows with each retire. Moved whole to
+	// the free list, a stall's objects would stay there for the
+	// handle's lifetime, since only Alloc shrinks a free list, so the
+	// memory a handle pins would be set by its longest stall. Objects
+	// past the bound, and a limbo array a stall grew past it, go to the
+	// garbage collector instead. A free list stays at a few hundred
+	// objects without stalls.
+	maxFree = 512
 
 	// activeBit marks a slot's announcement as "inside a critical
 	// section"; the remaining bits carry the announced epoch.
@@ -153,16 +167,23 @@ func (h *Handle[T]) Exit() {
 // least two behind e is drained to the free list (an object retired at
 // epoch b can only be referenced by threads that announced b or b+1, so
 // once the global epoch reaches b+2 no critical section can still see
-// it). Because bag indices are epoch%3 and a bag sharing an index with
-// the new current epoch is at least three epochs old, the current bag
-// is always empty after draining.
+// it), up to maxFree objects on the list. Because bag indices are
+// epoch%3 and a bag sharing an index with the new current epoch is at
+// least three epochs old, the current bag is always empty after
+// draining.
 func (h *Handle[T]) rotate(e uint64) {
 	for i := range h.bags {
 		b := &h.bags[i]
 		if len(b.items) > 0 && b.epoch+2 <= e {
-			h.Recycled += int64(len(b.items))
-			h.free = append(h.free, b.items...)
-			b.items = b.items[:0]
+			n := min(len(b.items), max(maxFree-len(h.free), 0))
+			h.Recycled += int64(n)
+			h.free = append(h.free, b.items[:n]...)
+			if cap(b.items) > maxFree {
+				b.items = nil
+			} else {
+				clear(b.items[n:])
+				b.items = b.items[:0]
+			}
 		}
 	}
 	h.localEpoch = e

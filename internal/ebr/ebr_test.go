@@ -271,6 +271,49 @@ func TestLimboPlusFreeConservation(t *testing.T) {
 	}
 }
 
+// TestStallRetentionBounded: a participant stalled inside a critical
+// section holds the epoch back while another handle retires thousands
+// of objects. Once the stall ends, the retirer keeps maxFree of them for
+// reuse and leaves the rest, and the limbo array the stall grew, to the
+// garbage collector.
+func TestStallRetentionBounded(t *testing.T) {
+	m := NewManager[obj](2)
+	h, stalled := m.Register(), m.Register()
+	stalled.Enter()
+	const n = 8 * maxFree
+	for i := 0; i < n; i++ {
+		h.Enter()
+		h.Retire(h.Alloc())
+		h.Exit()
+	}
+	if h.Fresh != n || h.LimboCount() != n {
+		t.Fatalf("during the stall: fresh=%d limbo=%d, want %d each", h.Fresh, h.LimboCount(), n)
+	}
+	stalled.Exit()
+	for i := 0; i < 3; i++ {
+		h.Enter()
+		h.Exit()
+		m.tryAdvance()
+	}
+	if h.LimboCount() != 0 || h.FreeCount() != maxFree || h.Recycled != maxFree {
+		t.Fatalf("after the stall: limbo=%d free=%d recycled=%d, want 0, %d, %d",
+			h.LimboCount(), h.FreeCount(), h.Recycled, maxFree, maxFree)
+	}
+	for i := range h.bags {
+		if c := cap(h.bags[i].items); c > maxFree {
+			t.Fatalf("bag %d keeps a %d-slot array after the stall", i, c)
+		}
+	}
+	// The bound caps what is kept, not reuse: the kept objects serve
+	// allocations before any fresh one is made.
+	for i := 0; i < maxFree; i++ {
+		h.Alloc()
+	}
+	if h.Fresh != n {
+		t.Fatalf("fresh = %d after reusing the kept objects, want %d", h.Fresh, n)
+	}
+}
+
 func BenchmarkEnterExit(b *testing.B) {
 	m := NewManager[obj](1)
 	h := m.Register()

@@ -27,8 +27,11 @@ func TestExchangeSameTypeRefused(t *testing.T) {
 	var e exchanger[int64]
 	done := make(chan bool)
 	go func() {
+		// Wait until claimed: a patience of a few milliseconds could run
+		// out while this test goroutine is descheduled, withdrawing the
+		// offer before the loop below ever sees it.
 		of := &offer[int64]{isPush: true, value: 1}
-		_, ok := e.exchange(of, 1<<16)
+		_, ok := e.exchange(of, 1<<40)
 		done <- ok
 	}()
 	// Wait until the first push has installed itself.

@@ -9,16 +9,18 @@ import (
 
 // Server collects secd's serving-side instrumentation: a live-session
 // gauge (connections that completed the handshake and hold engine
-// handles), an in-flight operation gauge, a handshake-rejection
-// counter, the robustness counters (slow-client evictions, recovered
-// per-connection panics, client-reported retries), and a per-opcode
-// count + latency histogram. Like *SEC, a nil *Server is valid and
-// turns every method into a no-op.
+// handles), an in-flight gauge, a handshake-rejection counter, the
+// robustness counters (slow-client evictions, recovered per-connection
+// panics, client-reported retries), and per opcode an exact count and
+// a histogram of sampled service times. A connection feeds the counts
+// and the in-flight gauge through its own Conn tally, once per burst of
+// requests. Like *SEC, a nil *Server is valid and turns every method
+// into a no-op.
 type Server struct {
 	sessions atomic.Int64 // live sessions (gauge)
 	peak     atomic.Int64 // high-water mark of the sessions gauge
 	rejected atomic.Int64 // handshakes refused with backpressure
-	inflight atomic.Int64 // operations between OpStart and OpDone (gauge)
+	inflight atomic.Int64 // connections with an unpublished burst (gauge)
 	evicted  atomic.Int64 // connections evicted on read-idle/write-stall deadlines
 	panics   atomic.Int64 // per-connection panics recovered (session unwound, conn closed)
 	retries  atomic.Int64 // retried ops clients reported via OpRetryMark
@@ -157,7 +159,7 @@ type ServerSnapshot struct {
 	Sessions        int64 // live-session gauge
 	PeakSessions    int64 // gauge high-water mark
 	Rejected        int64 // handshakes refused with backpressure
-	InFlight        int64 // in-flight operation gauge
+	InFlight        int64 // connections with a burst in progress
 	Evictions       int64 // connections evicted on serving deadlines
 	PanicsRecovered int64 // per-connection panics recovered
 	RetriesObserved int64 // client-reported retried ops
@@ -181,33 +183,89 @@ func (m *Server) Snapshot() ServerSnapshot {
 	}
 }
 
-// OpStart moves the in-flight gauge up as an operation begins
-// executing against the engines.
-func (m *Server) OpStart() {
-	if m == nil {
-		return
-	}
-	m.inflight.Add(1)
+// serviceSample is the period of the service-time sample: a connection
+// times its first request and then every serviceSample-th one. The
+// period is prime, so in a pipelined burst of any power-of-two length
+// the timed request walks through every position of the burst instead
+// of landing on the same one each time.
+const serviceSample = 61
+
+// Conn is one connection's unpublished share of a Server's per-opcode
+// counts and in-flight gauge. The connection's goroutine owns it:
+// counting a request is plain arithmetic on the connection's own
+// counter block, and Fold publishes the block with one atomic add per
+// opcode seen since the last fold.
+type Conn struct {
+	m      *Server
+	counts []int64 // per opcode, since the last Fold
+	busy   bool    // the in-flight gauge counts this connection
+	until  int     // requests to go before the next timed one
 }
 
-// OpDone moves the in-flight gauge down and records the operation's
-// service latency against its opcode. Out-of-range opcodes are
-// dropped rather than panicking - the wire decoder rejects them
-// before execution, so they can only appear through a caller bug.
-func (m *Server) OpDone(op int, d time.Duration) {
+// NewConn returns an empty tally for one connection of m.
+func (m *Server) NewConn() *Conn {
 	if m == nil {
-		return
+		return &Conn{}
 	}
-	m.inflight.Add(-1)
-	if op < 0 || op >= len(m.ops) {
-		return
-	}
-	s := &m.ops[op]
-	s.count.Add(1)
-	s.lat.Record(d)
+	return &Conn{m: m, counts: make([]int64, len(m.ops))}
 }
 
-// InFlight returns the in-flight operation gauge.
+// Start counts one request of opcode op and reports whether its service
+// time is to be timed and passed to Time (see serviceSample). The first
+// request after a Fold moves the in-flight gauge up. Out-of-range
+// opcodes are not counted rather than panicking - the wire decoder
+// rejects them before execution, so they can only appear through a
+// caller bug.
+func (c *Conn) Start(op int) (timed bool) {
+	if c.m == nil {
+		return false
+	}
+	if !c.busy {
+		c.busy = true
+		c.m.inflight.Add(1)
+	}
+	if op < 0 || op >= len(c.counts) {
+		return false
+	}
+	c.counts[op]++
+	if c.until > 0 {
+		c.until--
+		return false
+	}
+	c.until = serviceSample - 1
+	return true
+}
+
+// Time records a timed request's service time in op's histogram.
+func (c *Conn) Time(op int, d time.Duration) {
+	if c.m == nil || op < 0 || op >= len(c.m.ops) {
+		return
+	}
+	c.m.ops[op].lat.Record(d)
+}
+
+// Fold publishes the counts gathered since the last Fold and moves the
+// in-flight gauge back down. A server folds before it writes a burst's
+// replies, so a client that has read a reply finds its request counted,
+// and again when the connection ends, so the counts are exact once the
+// connection is gone and the gauge reads 0 with no burst in progress.
+func (c *Conn) Fold() {
+	if c.m == nil || !c.busy {
+		return
+	}
+	for op, n := range c.counts {
+		if n != 0 {
+			c.m.ops[op].count.Add(n)
+			c.counts[op] = 0
+		}
+	}
+	c.busy = false
+	c.m.inflight.Add(-1)
+}
+
+// InFlight returns the in-flight gauge: the connections that have
+// started a burst of requests and not yet folded it, so at most one per
+// connection, and 0 on an idle server.
 func (m *Server) InFlight() int64 {
 	if m == nil {
 		return 0
@@ -215,7 +273,8 @@ func (m *Server) InFlight() int64 {
 	return m.inflight.Load()
 }
 
-// OpStats is one opcode's served summary.
+// OpStats is one opcode's served summary: the exact count of requests
+// folded so far, and the quantiles of their sampled service times.
 type OpStats struct {
 	Count int64
 	P50   time.Duration
@@ -236,7 +295,7 @@ func (m *Server) Op(op int) OpStats {
 	}
 }
 
-// TotalOps sums the per-opcode counts.
+// TotalOps sums the per-opcode counts folded so far.
 func (m *Server) TotalOps() int64 {
 	if m == nil {
 		return 0

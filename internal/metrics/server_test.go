@@ -93,9 +93,14 @@ func TestServerCollector(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			m.SessionStart()
+			c := m.NewConn()
 			for i := 0; i < 100; i++ {
-				m.OpStart()
-				m.OpDone(i%4, time.Duration(i)*time.Microsecond)
+				if c.Start(i % 4) {
+					c.Time(i%4, time.Duration(i)*time.Microsecond)
+				}
+				if i%10 == 9 { // bursts of 10 requests
+					c.Fold()
+				}
 			}
 			m.SessionEnd()
 		}()
@@ -122,16 +127,24 @@ func TestServerCollector(t *testing.T) {
 		t.Fatal("Rejected not counted")
 	}
 	// Out-of-range opcodes are dropped, not panics.
-	m.OpStart()
-	m.OpDone(99, time.Second)
-	m.OpDone(-1, time.Second)
+	c := m.NewConn()
+	c.Start(99)
+	c.Start(-1)
+	c.Time(99, time.Second)
+	c.Time(-1, time.Second)
+	c.Fold()
+	if m.TotalOps() != 800 || m.InFlight() != 0 {
+		t.Fatalf("out-of-range opcodes moved TotalOps to %d, InFlight to %d", m.TotalOps(), m.InFlight())
+	}
 
 	// A nil collector is a valid no-op, as with *SEC.
 	var nm *Server
 	nm.SessionStart()
 	nm.SessionEnd()
-	nm.OpStart()
-	nm.OpDone(0, time.Second)
+	nc := nm.NewConn()
+	nc.Start(0)
+	nc.Time(0, time.Second)
+	nc.Fold()
 	nm.RecordReject()
 	nm.RecordEviction()
 	nm.RecordPanic()
@@ -166,8 +179,9 @@ func TestServerRobustnessCounters(t *testing.T) {
 		t.Fatalf("RetriesObserved = %d, want 5", got)
 	}
 	m.SessionStart()
-	m.OpStart()
-	m.OpDone(1, time.Millisecond)
+	c := m.NewConn()
+	c.Start(1)
+	c.Fold()
 	s := m.Snapshot()
 	want := ServerSnapshot{
 		Sessions: 1, PeakSessions: 1, Rejected: 0, InFlight: 0,
@@ -175,6 +189,58 @@ func TestServerRobustnessCounters(t *testing.T) {
 	}
 	if s != want {
 		t.Fatalf("Snapshot = %+v, want %+v", s, want)
+	}
+}
+
+// TestConnTally pins a connection tally's contract: counts reach the
+// Server only at Fold, and then exactly; the in-flight gauge reads one
+// for a connection between its first request and its Fold, whatever the
+// burst's length; the service time is sampled from the first request
+// and then every serviceSample-th, so across bursts of a power-of-two
+// length the timed request visits every position of the burst.
+func TestConnTally(t *testing.T) {
+	m := NewServer(2)
+	c := m.NewConn()
+	const burst = 32
+	positions := make(map[int]bool)
+	timed := 0
+	for b := 0; b < serviceSample; b++ {
+		for i := 0; i < burst; i++ {
+			if c.Start(1) {
+				if b == 0 && i == 0 && timed != 0 {
+					t.Fatal("a connection's first request was not timed")
+				}
+				timed++
+				positions[i] = true
+				c.Time(1, time.Microsecond)
+			}
+			if got := m.InFlight(); got != 1 {
+				t.Fatalf("InFlight = %d inside a burst, want 1", got)
+			}
+		}
+		if got, want := m.Op(1).Count, int64(b*burst); got != want {
+			t.Fatalf("Count = %d before burst %d's fold, want %d", got, b, want)
+		}
+		c.Fold()
+		if got := m.InFlight(); got != 0 {
+			t.Fatalf("InFlight = %d after a fold, want 0", got)
+		}
+	}
+	if got, want := m.Op(1).Count, int64(serviceSample*burst); got != want {
+		t.Fatalf("Count = %d, want %d", got, want)
+	}
+	if want := serviceSample * burst / serviceSample; timed != want {
+		t.Fatalf("timed %d requests, want 1 in %d of %d = %d", timed, serviceSample, serviceSample*burst, want)
+	}
+	if len(positions) != burst {
+		t.Fatalf("timed requests covered %d of %d burst positions", len(positions), burst)
+	}
+	if h := &m.ops[1].lat; h.Count() != int64(timed) {
+		t.Fatalf("histogram holds %d samples, want %d", h.Count(), timed)
+	}
+	c.Fold() // a fold with nothing pending leaves the gauge alone
+	if got := m.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after an empty fold, want 0", got)
 	}
 }
 

@@ -161,7 +161,7 @@ func (c *Client) connect() (busy bool, err error) {
 		return false, fmt.Errorf("secclient: handshake status %v", rep.Status)
 	}
 	cn.SetDeadline(time.Time{})
-	c.cn, c.br, c.banner = cn, br, string(rep.Banner)
+	c.cn, c.br, c.banner = cn, br, rep.Banner
 	c.stats.Dials++
 	return false, nil
 }
@@ -225,7 +225,9 @@ func (c *Client) Do(op wire.Op, arg int64) (wire.Reply, error) {
 }
 
 // roundTrip writes one request and reads its reply under the
-// per-attempt deadline.
+// per-attempt deadline. Neither allocates: the request is encoded into
+// the client's reused buffer and the reply decoded in place in its
+// reader.
 func (c *Client) roundTrip(op wire.Op, arg int64) (wire.Reply, error) {
 	if c.cfg.RequestTimeout > 0 {
 		c.cn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout))

@@ -74,6 +74,34 @@ func TestDialAndDo(t *testing.T) {
 	}
 }
 
+// TestAllocCeilingDo: a served round trip allocates nothing, on the
+// client or on the in-process server: the request is encoded into the
+// client's reused buffer, and both ends decode in place from their
+// buffered readers.
+func TestAllocCeilingDo(t *testing.T) {
+	_, addr := startServer(t, secd.Config{Adaptive: true})
+	c, err := Dial(fastCfg(addr))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	ops := []wire.Op{wire.OpStackPush, wire.OpStackPop, wire.OpPoolPut, wire.OpPoolGet, wire.OpFunnelAdd}
+	i := 0
+	do := func() {
+		op := ops[i%len(ops)]
+		i++
+		if rep, err := c.Do(op, 1); err != nil || rep.Status != wire.StatusOK {
+			t.Fatalf("%v: %+v %v", op, rep, err)
+		}
+	}
+	for range 500 { // settle the engines' free lists and EBR epochs
+		do()
+	}
+	if perOp := testing.AllocsPerRun(1000, do); perOp > 0.05 {
+		t.Fatalf("a served round trip allocates %.3f times, ceiling 0.05", perOp)
+	}
+}
+
 func TestDialBusyIsImmediate(t *testing.T) {
 	_, addr := startServer(t, secd.Config{MaxSessions: 1})
 	holder, err := Dial(fastCfg(addr))

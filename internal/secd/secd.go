@@ -28,14 +28,14 @@
 //     the live-session gauge is back to zero.
 //
 // The serving path is hardened against misbehaving clients and
-// injected faults (DESIGN.md §14): every read carries an idle deadline
-// and every flush a write-stall budget, so half-open or stalled peers
-// are evicted instead of holding session slots forever; a panic
-// anywhere in a connection's handler - handshake included - is
-// recovered per connection, closing the conn and releasing all of the
-// session's engine handles so thread-id slots recycle; and the named
-// faultpoint sites below let tests and chaos drivers reach each of
-// those paths deterministically.
+// injected faults (DESIGN.md §14): every read that can reach the socket
+// carries an idle deadline and every flush a write-stall budget, so
+// half-open or stalled peers are evicted instead of holding session
+// slots forever; a panic anywhere in a connection's handler -
+// handshake included - is recovered per connection, closing the conn
+// and releasing all of the session's engine handles so thread-id slots
+// recycle; and the named faultpoint sites below let tests and the
+// chaos tooling reach each of those paths deterministically.
 package secd
 
 import (
@@ -305,7 +305,9 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	lis := s.lis
 	for c := range s.conns {
 		// Interrupt blocked reads; the handler sees a deadline error,
-		// not a mid-frame state, because requests are read whole.
+		// not a mid-frame state, because a request is consumed only
+		// once it is whole. A handler between reads sees draining when
+		// it arms its next one (armRead).
 		c.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
@@ -428,7 +430,9 @@ func (s *Server) handle(conn net.Conn) {
 	// Handshake: the first frame must be a versioned Hello, and it must
 	// arrive within the read-idle budget - a connect-then-silence peer
 	// is the simplest half-open client.
-	s.armReadDeadline(conn)
+	if s.armRead(conn) {
+		return // draining: no session yet to say goodbye to
+	}
 	q, err := wire.ReadRequest(br)
 	if err != nil {
 		s.noteReadError(err)
@@ -457,17 +461,35 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
+	// The connection's counts and in-flight gauge stay local until its
+	// burst is answered; folding them at disconnect keeps them exact
+	// however the connection ends.
+	tally := s.m.NewConn()
+	defer tally.Fold()
 	var scratch []byte
 	for {
-		s.armReadDeadline(conn)
+		// Pay the per-read costs only before a read that can reach the
+		// socket, i.e. once the pipelined burst is exhausted and the
+		// client is (or will be) waiting on us: publish the burst's
+		// metrics, flush its coalesced replies in one write, and arm
+		// the read-idle deadline.
+		if br.Buffered() < wire.RequestSize {
+			tally.Fold()
+			if bw.Buffered() > 0 && !s.flush(bw, conn) {
+				return
+			}
+			if s.armRead(conn) {
+				s.goodbye(bw, conn)
+				return
+			}
+		}
 		q, err := wire.ReadRequest(br)
 		if err != nil {
 			// Drain deadline, idle eviction, clean EOF or abrupt
 			// disconnect: either way the deferred close recycles this
 			// session's handle slots.
 			if s.isDraining() {
-				faultpoint.Hit(FPDrain)
-				s.sayAndClose(bw, conn, wire.Reply{Status: wire.StatusShutdown})
+				s.goodbye(bw, conn)
 				return
 			}
 			s.noteReadError(err)
@@ -479,8 +501,9 @@ func (s *Server) handle(conn net.Conn) {
 		if faultpoint.Hit(FPExec) != nil {
 			return // injected pre-execution failure: op never ran, no ack
 		}
-		rep, ok := s.exec(sess, q)
+		rep, ok := s.exec(sess, tally, q)
 		if !ok {
+			tally.Fold()
 			s.sayAndClose(bw, conn, wire.Reply{Status: wire.StatusBadRequest})
 			return
 		}
@@ -497,29 +520,35 @@ func (s *Server) handle(conn net.Conn) {
 		if _, err := bw.Write(scratch); err != nil {
 			return
 		}
-		// Write coalescing: only flush when the read buffer holds no
-		// complete request, i.e. the pipelined burst is exhausted and
-		// the client is (or will be) waiting on us.
-		if br.Buffered() < wire.RequestSize {
-			if !s.flush(bw, conn) {
-				return
-			}
-		}
 	}
 }
 
-// armReadDeadline starts a read's idle budget.
-func (s *Server) armReadDeadline(conn net.Conn) {
+// armRead starts the idle budget of a read that can reach the socket
+// and reports whether the server is draining. Shutdown marks the server
+// draining before it sets every connection's read deadline to now, so
+// checking after arming closes the window in which this arm would
+// overwrite that wakeup and keep an active client served until the
+// force-close budget ran out: whichever of the two comes second sees
+// the other.
+func (s *Server) armRead(conn net.Conn) (draining bool) {
 	if s.cfg.ReadIdle > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadIdle))
 	}
+	return s.isDraining()
 }
 
-// noteReadError classifies a read-loop error outside drain: a deadline
-// expiry is an idle eviction (counted); EOF and peer resets are
-// ordinary disconnects.
+// goodbye answers a draining connection's next read with
+// StatusShutdown; the caller closes the connection right after.
+func (s *Server) goodbye(bw *bufio.Writer, conn net.Conn) {
+	faultpoint.Hit(FPDrain)
+	s.sayAndClose(bw, conn, wire.Reply{Status: wire.StatusShutdown})
+}
+
+// noteReadError classifies a read error: outside a drain, whose wakeup
+// is a deadline too, a deadline expiry is an idle eviction (counted);
+// EOF and peer resets are ordinary disconnects.
 func (s *Server) noteReadError(err error) {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
+	if errors.Is(err, os.ErrDeadlineExceeded) && !s.isDraining() {
 		s.m.RecordEviction()
 	}
 }
@@ -549,13 +578,16 @@ func (s *Server) sayAndClose(bw *bufio.Writer, conn net.Conn, rep wire.Reply) {
 }
 
 // exec runs one decoded request against the session's handles,
-// recording in-flight and latency metrics. ok=false means the opcode
-// cannot be executed on an established session.
-func (s *Server) exec(sess *session, q wire.Request) (rep wire.Reply, ok bool) {
-	s.m.OpStart()
+// counting it in the connection's tally and timing it when the tally
+// samples it. ok=false means the opcode cannot be executed on an
+// established session.
+func (s *Server) exec(sess *session, tally *metrics.Conn, q wire.Request) (rep wire.Reply, ok bool) {
+	if !tally.Start(int(q.Op)) {
+		return s.apply(sess, q)
+	}
 	start := time.Now()
 	rep, ok = s.apply(sess, q)
-	s.m.OpDone(int(q.Op), time.Since(start))
+	tally.Time(int(q.Op), time.Since(start))
 	return rep, ok
 }
 

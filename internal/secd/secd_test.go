@@ -3,9 +3,11 @@ package secd
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,6 +396,75 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused: the listener is closed.
 	if _, err := dialRaw(lis.Addr().String()); err == nil {
 		t.Fatal("dial succeeded after shutdown")
+	}
+}
+
+// TestGracefulDrainActiveClient: Shutdown drains a client that keeps
+// sending. Shutdown wakes blocked reads by setting their deadline to
+// now; a handler between reads when that lands arms its next read's
+// idle deadline, and unless it re-checks draining after arming, it keeps
+// serving the client until the force-close budget runs out. Each round
+// lands Shutdown at another point of the client's loop.
+func TestGracefulDrainActiveClient(t *testing.T) {
+	const (
+		rounds = 8
+		budget = time.Second
+	)
+	for r := range rounds {
+		s, err := New(Config{})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- s.Serve(lis) }()
+		c := dialClient(t, lis.Addr().String())
+
+		var served atomic.Int64
+		ended := make(chan error, 1)
+		go func() {
+			for {
+				rep, err := c.tryDo(wire.OpFunnelAdd, 1)
+				switch {
+				case err == io.EOF || (err == nil && rep.Status == wire.StatusShutdown):
+					ended <- nil
+					return
+				case err != nil:
+					ended <- err
+					return
+				case rep.Status != wire.StatusOK:
+					ended <- fmt.Errorf("status %v", rep.Status)
+					return
+				}
+				served.Add(1)
+			}
+		}()
+		for deadline := time.Now().Add(5 * time.Second); served.Load() < 100; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: client served only %d requests", r, served.Load())
+			}
+		}
+
+		start := time.Now()
+		err = s.Shutdown(budget)
+		took := time.Since(start)
+		cerr := <-ended
+		c.close()
+		if err != nil {
+			t.Fatalf("round %d: Shutdown after %v: %v", r, took, err)
+		}
+		if cerr != nil {
+			t.Fatalf("round %d: client ended on %v, want StatusShutdown or EOF", r, cerr)
+		}
+		if err := <-serveErr; err != nil {
+			t.Fatalf("round %d: Serve: %v", r, err)
+		}
+		if got := s.Metrics().Sessions(); got != 0 {
+			t.Fatalf("round %d: sessions after drain = %d", r, got)
+		}
 	}
 }
 

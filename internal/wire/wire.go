@@ -26,6 +26,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -250,47 +251,94 @@ func DecodeReply(b []byte) (p Reply, n int, err error) {
 	if len(b) < lenSize {
 		return p, 0, ErrShort
 	}
-	l := binary.BigEndian.Uint32(b)
-	if l < repPayload || l > repPayload+MaxBanner {
-		return p, 0, fmt.Errorf("%w: reply payload length %d outside [%d, %d]", ErrFrame, l, repPayload, repPayload+MaxBanner)
+	l, err := replyPayload(b)
+	if err != nil {
+		return p, 0, err
 	}
-	total := lenSize + int(l)
+	total := lenSize + l
 	if len(b) < total {
 		return p, 0, ErrShort
 	}
-	p.Status = Status(b[lenSize])
-	p.Value = int64(binary.BigEndian.Uint64(b[lenSize+1:]))
+	p = replyHeader(b)
 	if banner := b[ReplyHeaderSize:total]; len(banner) > 0 {
 		p.Banner = string(banner)
 	}
 	return p, total, nil
 }
 
-// ReadRequest reads exactly one request frame from r.
-func ReadRequest(r io.Reader) (Request, error) {
-	var buf [RequestSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+// replyPayload validates the length prefix at the front of b, which
+// holds at least lenSize bytes, and returns the reply's payload length.
+func replyPayload(b []byte) (int, error) {
+	l := binary.BigEndian.Uint32(b)
+	if l < repPayload || l > repPayload+MaxBanner {
+		return 0, fmt.Errorf("%w: reply payload length %d outside [%d, %d]", ErrFrame, l, repPayload, repPayload+MaxBanner)
+	}
+	return int(l), nil
+}
+
+// replyHeader decodes the status and value of the reply at the front of
+// b, which holds at least ReplyHeaderSize bytes.
+func replyHeader(b []byte) Reply {
+	return Reply{Status: Status(b[lenSize]), Value: int64(binary.BigEndian.Uint64(b[lenSize+1:]))}
+}
+
+// ReadRequest reads exactly one request frame from br. It decodes the
+// frame in place in br's buffer and then discards it, so a request
+// allocates nothing. A stream that ends before the frame's first byte
+// is io.EOF, one that ends inside it io.ErrUnexpectedEOF; a frame that
+// fails to decode is consumed all the same.
+func ReadRequest(br *bufio.Reader) (Request, error) {
+	b, err := peek(br, RequestSize)
+	if err != nil {
 		return Request{}, err
 	}
-	q, _, err := DecodeRequest(buf[:])
+	q, _, err := DecodeRequest(b)
+	br.Discard(RequestSize) // cannot fail: peek buffered the frame
 	return q, err
 }
 
-// ReadReply reads exactly one reply frame from r.
-func ReadReply(r io.Reader) (Reply, error) {
-	var head [lenSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+// ReadReply reads exactly one reply frame from br, with ReadRequest's
+// end-of-stream errors. The status and value are decoded in place in
+// br's buffer, so only a banner allocates. The banner is copied out
+// rather than peeked, so a frame longer than br's buffer still decodes:
+// a banner near MaxBanner makes a frame of up to 4109 bytes, and bufio's
+// default buffer holds 4096.
+func ReadReply(br *bufio.Reader) (Reply, error) {
+	b, err := peek(br, lenSize)
+	if err != nil {
 		return Reply{}, err
 	}
-	l := binary.BigEndian.Uint32(head[:])
-	if l < repPayload || l > repPayload+MaxBanner {
-		return Reply{}, fmt.Errorf("%w: reply payload length %d outside [%d, %d]", ErrFrame, l, repPayload, repPayload+MaxBanner)
-	}
-	buf := make([]byte, lenSize+l)
-	copy(buf, head[:])
-	if _, err := io.ReadFull(r, buf[lenSize:]); err != nil {
+	l, err := replyPayload(b)
+	if err != nil {
 		return Reply{}, err
 	}
-	p, _, err := DecodeReply(buf)
-	return p, err
+	if b, err = peek(br, ReplyHeaderSize); err != nil {
+		return Reply{}, err
+	}
+	p := replyHeader(b)
+	br.Discard(ReplyHeaderSize) // cannot fail: peek buffered the header
+	if n := l - repPayload; n > 0 {
+		banner := make([]byte, n)
+		if _, err := io.ReadFull(br, banner); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Reply{}, err
+		}
+		p.Banner = string(banner)
+	}
+	return p, nil
+}
+
+// peek returns br's next n bytes without consuming them. Like
+// io.ReadFull, it reports a stream that ended after some but not all of
+// them as io.ErrUnexpectedEOF. Bytes already buffered stay buffered on
+// any error, so a read interrupted by a deadline never leaves the
+// stream mid-frame.
+func peek(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }

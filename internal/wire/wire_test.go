@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -41,8 +43,8 @@ func TestRequestRoundTrip(t *testing.T) {
 			if got2, n2, err := DecodeRequest(append(b, 0xff, 0xfe)); err != nil || n2 != RequestSize || got2 != q {
 				t.Fatalf("decode with trailing bytes: got %+v n=%d err=%v", got2, n2, err)
 			}
-			// Via the io helpers too.
-			rq, err := ReadRequest(bytes.NewReader(b))
+			// Via the stream reader too.
+			rq, err := ReadRequest(bufio.NewReader(bytes.NewReader(b)))
 			if err != nil || rq != q {
 				t.Fatalf("ReadRequest: got %+v err=%v", rq, err)
 			}
@@ -75,11 +77,65 @@ func TestReplyRoundTrip(t *testing.T) {
 			if got2, _, err := DecodeReply(append(b, 0x01)); err != nil || got2 != p {
 				t.Fatalf("decode with trailing bytes: got %+v err=%v", got2, err)
 			}
-			rp, err := ReadReply(bytes.NewReader(b))
+			// The MaxBanner case is a 4109-byte frame, longer than the
+			// default reader's 4096-byte buffer.
+			rp, err := ReadReply(bufio.NewReader(bytes.NewReader(b)))
 			if err != nil || rp != p {
 				t.Fatalf("ReadReply: got %+v err=%v", rp, err)
 			}
 		})
+	}
+}
+
+// TestReadFramesInPlace pins the stream readers' contract: frames
+// decode in place in the reader's buffer, so neither a request nor a
+// banner-less reply allocates, and a stream that ends inside a frame is
+// io.ErrUnexpectedEOF while one that ends between frames is io.EOF.
+func TestReadFramesInPlace(t *testing.T) {
+	const frames = 64
+	var reqs, reps []byte
+	for i := range frames {
+		reqs = AppendRequest(reqs, Request{Op: OpStackPush, Arg: int64(i)})
+		reps = AppendReply(reps, Reply{Status: StatusOK, Value: int64(i)})
+	}
+	rr, pr := bytes.NewReader(reqs), bytes.NewReader(reps)
+	qbr, pbr := bufio.NewReader(rr), bufio.NewReader(pr)
+	var i int64
+	allocs := testing.AllocsPerRun(frames-1, func() {
+		if q, err := ReadRequest(qbr); err != nil || q.Arg != i {
+			t.Fatalf("request %d: %+v %v", i, q, err)
+		}
+		if p, err := ReadReply(pbr); err != nil || p.Value != i {
+			t.Fatalf("reply %d: %+v %v", i, p, err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("reading a request and a reply allocates %.2f times, want 0", allocs)
+	}
+
+	req := AppendRequest(nil, Request{Op: OpStackPop})
+	rep := AppendReply(nil, Reply{Status: StatusOK, Banner: "secd"})
+	for _, tc := range []struct {
+		name string
+		read func(*bufio.Reader) error
+		b    []byte
+	}{
+		{"request", func(br *bufio.Reader) error { _, err := ReadRequest(br); return err }, req},
+		{"reply", func(br *bufio.Reader) error { _, err := ReadReply(br); return err }, rep},
+	} {
+		if err := tc.read(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
+			t.Errorf("%s from an empty stream: %v, want io.EOF", tc.name, err)
+		}
+		for _, cut := range []int{1, lenSize, len(tc.b) - 1} {
+			if err := tc.read(bufio.NewReader(bytes.NewReader(tc.b[:cut]))); err != io.ErrUnexpectedEOF {
+				t.Errorf("%s cut at %d of %d bytes: %v, want io.ErrUnexpectedEOF", tc.name, cut, len(tc.b), err)
+			}
+		}
+	}
+	oversize := []byte{0, 0, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := ReadReply(bufio.NewReader(bytes.NewReader(oversize))); !errors.Is(err, ErrFrame) {
+		t.Errorf("oversize reply length: %v, want ErrFrame", err)
 	}
 }
 
