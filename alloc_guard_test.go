@@ -19,8 +19,8 @@ import (
 
 // allocCeiling is the per-op allocation budget the steady-state paths
 // must stay under. The true steady-state rate is 0; the headroom
-// absorbs amortized slice growth (EBR limbo bags, recycling free
-// lists) that has not fully settled during warmup.
+// absorbs amortized slice growth (retired and free node lists) that
+// has not fully settled during warmup.
 const allocCeiling = 0.25
 
 // TestAllocCeilingSoloFastPath: with adaptivity on, a single
@@ -36,7 +36,7 @@ func TestAllocCeilingSoloFastPath(t *testing.T) {
 	)
 	h := s.Register()
 	defer h.Close()
-	for i := int64(0); i < 4096; i++ { // settle EBR epochs and free lists
+	for i := int64(0); i < 4096; i++ { // settle the node and batch free lists
 		h.Push(i)
 		h.Pop()
 	}
@@ -130,7 +130,7 @@ func TestAllocCeilingPoolStealHit(t *testing.T) {
 // TestAllocCeilingTryPushSteal: a TryPush/TryPop cycle - the steal
 // primitives both of the pool's sweeps are built from - is two
 // Treiber-style CASes through the session's scratch batch, with the
-// node cycling through the handle's reclamation pool: nothing on the
+// node cycling through the handle's free list: nothing on the
 // heap in steady state. (The contended-miss sides are pinned at 0 by
 // internal/agg's TestTryPushStealBypassesProtocol and the forced
 // overflow guards in the pool package.)
@@ -138,7 +138,7 @@ func TestAllocCeilingTryPushSteal(t *testing.T) {
 	s := core.New[int64](core.Options{Aggregators: 1, MaxThreads: 4, Recycle: true})
 	h := s.Register()
 	defer h.Close()
-	for i := int64(0); i < 4096; i++ { // settle EBR epochs and the scratch batch
+	for i := int64(0); i < 4096; i++ { // settle the free list and the scratch batch
 		h.TryPush(i)
 		h.TryPop()
 	}
@@ -282,7 +282,7 @@ func TestAllocCeilingImplicitStack(t *testing.T) {
 		stack.WithBatchRecycling(true),
 		stack.WithRecycling(),
 	)
-	for i := int64(0); i < 4096; i++ { // warm the per-P cache, settle EBR and free lists
+	for i := int64(0); i < 4096; i++ { // warm the per-P cache, settle the free lists
 		s.Push(i)
 		s.Pop()
 	}

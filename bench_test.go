@@ -10,7 +10,7 @@
 //
 //	BenchmarkAblationFreezerBackoff - freezer pre-freeze spin sweep
 //	BenchmarkAblationNoElimination  - combining-only SEC vs full SEC
-//	BenchmarkAblationReclaim        - EBR node recycling on/off
+//	BenchmarkAblationReclaim        - node recycling on/off
 //	BenchmarkAblationFastPath       - contention-adaptive solo fast path on/off (reports allocs)
 //	BenchmarkAblationBatchReuse     - batch recycling on/off (reports allocs)
 //	BenchmarkAblationSpin           - fixed FreezerSpin ladder vs the adaptive spin controller
@@ -322,13 +322,14 @@ func BenchmarkPoolSteal(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationReclaim measures the cost/benefit of routing nodes
-// through epoch-based reclamation instead of the garbage collector.
+// BenchmarkAblationReclaim measures the cost/benefit of recycling
+// popped nodes under hazard pointers instead of leaving them to the
+// garbage collector.
 func BenchmarkAblationReclaim(b *testing.B) {
 	for _, recycle := range []bool{false, true} {
 		name := "gc"
 		if recycle {
-			name = "ebr"
+			name = "recycle"
 		}
 		b.Run(name, func(b *testing.B) {
 			f := func() stack.Stack[int64] {

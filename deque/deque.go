@@ -326,7 +326,7 @@ func (h *Handle[T]) pop(side Side) (v T, ok bool) {
 // trySoloPop is the solo fast path's pop applier: serve one pop under
 // the central lock if it is free right now, publishing the result
 // through the scratch batch's table as applyPop would.
-func (d *Deque[T]) trySoloPop(end int, b *dqBatch[T]) bool {
+func (d *Deque[T]) trySoloPop(_, end int, b *dqBatch[T]) bool {
 	if !d.mu.TryLock() {
 		return false
 	}
@@ -342,7 +342,7 @@ func (d *Deque[T]) trySoloPop(end int, b *dqBatch[T]) bool {
 // applyPop is the pop-side combiner body: serve the surviving pops of
 // one end's frozen batch from the sequential deque under the lock,
 // publishing their responses through the batch's result table.
-func (d *Deque[T]) applyPop(end int, b *dqBatch[T], e, popAtF int64) {
+func (d *Deque[T]) applyPop(_, end int, b *dqBatch[T], e, popAtF int64) {
 	k := popAtF - e
 	d.mu.Lock()
 	for i := int64(0); i < k; i++ {

@@ -107,8 +107,10 @@ package agg
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"secstack/internal/backoff"
 	"secstack/internal/metrics"
@@ -213,10 +215,11 @@ type aggregator[S, P any] struct {
 	limbo []*Batch[S, P] // retired, possibly still held through a hazard
 	free  []*Batch[S, P] // quiescent, ready for reuse
 
-	// hzbuf is the reclaim scan's scratch: the non-nil hazard pointers
-	// collected in its single pass over the hazard slots. Cleared after
-	// each scan so it never pins a batch; freezer-owned like the lists.
-	hzbuf []*Batch[S, P]
+	// snap is the reclaim scan's scratch: the addresses of the batches
+	// its single pass over the hazard slots found published. Addresses,
+	// not pointers, so it never pins a batch; freezer-owned like the
+	// lists.
+	snap []uintptr
 
 	// sinceScan counts freezes since the last full hazard scan; the
 	// reclaim epoch (reclaimPeriod) is measured against it.
@@ -309,10 +312,11 @@ const (
 
 	// reclaimPeriod is K of the reclaim epoch: with recycling on, the
 	// full hazard scan runs at most once per reclaimPeriod freezes of an
-	// aggregator. It equals maxFree on purpose - one scan must refill
-	// the free list with enough quiescent batches to feed the freezes
-	// until the next scan, or the deferred freezes would allocate.
-	reclaimPeriod = maxFree
+	// aggregator. It is half of maxFree on purpose: a scan refills what
+	// the epoch's freezes took, less any rise in the batches sessions'
+	// hazards hold, so the list's other half must carry the next epoch
+	// through such a rise, or a freeze finds the list dry and allocates.
+	reclaimPeriod = maxFree / 2
 
 	// limboHighWater forces a scan early when retired batches pile up
 	// (many sessions parked on hazards), bounding the limbo list
@@ -456,8 +460,10 @@ type Spec[S, P any] struct {
 	// ApplyPop is the pop-side combiner body: serve the surviving pops
 	// (offsets 0..popAtFreeze-e-1) of batch b on aggregator agg,
 	// publishing their results through b.Data. Like ApplyPush it runs on
-	// exactly one thread per frozen batch.
-	ApplyPop func(agg int, b *Batch[S, P], e, popAtFreeze int64)
+	// exactly one thread per frozen batch; id is that combiner's session,
+	// for structures that publish per-session hazards while they read
+	// the shared structure.
+	ApplyPop func(id, agg int, b *Batch[S, P], e, popAtFreeze int64)
 
 	// TrySoloPush attempts to apply the single push announced in slot 0
 	// of the one-slot scratch batch b directly to the shared structure,
@@ -468,9 +474,10 @@ type Spec[S, P any] struct {
 	// the funnel.
 	TrySoloPush func(agg int, b *Batch[S, P]) bool
 
-	// TrySoloPop is TrySoloPush's pop-side twin: serve one pop directly,
-	// publishing the result through b.Data as the pop applier would.
-	TrySoloPop func(agg int, b *Batch[S, P]) bool
+	// TrySoloPop is TrySoloPush's pop-side twin: serve one pop of
+	// session id directly, publishing the result through b.Data as the
+	// pop applier would.
+	TrySoloPop func(id, agg int, b *Batch[S, P]) bool
 
 	// Metrics, when non-nil, receives one occupancy/elimination record
 	// per frozen batch plus the solo fast path's hit/miss counters.
@@ -492,9 +499,9 @@ type Engine[S, P any] struct {
 	makeData     func(n int) P
 	resetData    func(p *P)
 	applyPush    func(agg int, b *Batch[S, P], seq, pushAtFreeze int64)
-	applyPop     func(agg int, b *Batch[S, P], e, popAtFreeze int64)
+	applyPop     func(id, agg int, b *Batch[S, P], e, popAtFreeze int64)
 	trySoloPush  func(agg int, b *Batch[S, P]) bool
-	trySoloPop   func(agg int, b *Batch[S, P]) bool
+	trySoloPop   func(id, agg int, b *Batch[S, P]) bool
 	m            *metrics.SEC
 	tids         *tid.Allocator
 	maxThreads   int
@@ -654,12 +661,11 @@ func (e *Engine[S, P]) resetBatch(b *Batch[S, P]) {
 }
 
 // reclaim is the full hazard scan: one pass over the HighWater hazard
-// slots collecting the published batches, then one pass over a's limbo
-// list filtering against that set - hazard-quiescent batches move to
-// the free list (overflow drops to the GC). Hazard-major order makes
-// the scan cost HighWater atomic loads per *scan*, not per limbo
-// entry; the epoch in nextBatch makes scans rare. Called only inside
-// Freeze.
+// slots collecting the published batches, then ScanRetired over a's
+// limbo list - hazard-quiescent batches move to the free list
+// (overflow drops to the GC). Hazard-major order makes the scan cost
+// HighWater atomic loads per *scan*, not per limbo entry; the epoch in
+// nextBatch makes scans rare. Called only inside Freeze.
 //
 // Soundness: every session publishes its batch before using it and
 // re-validates the aggregator pointer afterwards, so once a batch is
@@ -668,37 +674,43 @@ func (e *Engine[S, P]) resetBatch(b *Batch[S, P]) {
 // pass, and one whose re-validation will fail never touches the batch
 // again.
 func (e *Engine[S, P]) reclaim(a *aggregator[S, P]) {
-	hz := a.hzbuf[:0]
+	snap := a.snap[:0]
 	n := e.tids.HighWater()
 	for i := 0; i < n; i++ {
 		if p := e.hazards[i].p.Load(); p != nil {
-			hz = append(hz, p)
+			snap = append(snap, uintptr(unsafe.Pointer(p)))
 		}
 	}
-	keep := a.limbo[:0]
-	for _, b := range a.limbo {
-		held := false
-		for _, h := range hz {
-			if h == b {
-				held = true
-				break
-			}
+	a.limbo, a.free = ScanRetired(snap, a.limbo, a.free, maxFree, nil)
+	a.snap = snap
+}
+
+// ScanRetired is the filter step of a hazard-pointer scan, shared by
+// the engine's batch recycling and the SEC stack's node recycling.
+// snap holds the addresses the scan found published in the hazard
+// slots; ScanRetired sorts it and binary-searches it once per retired
+// object. Every object in retired that snap does not name leaves it:
+// scrub, when non-nil, runs on it, and it joins free while free holds
+// fewer than maxFree (the rest go to the garbage collector). The
+// published objects stay, compacted at the front of retired; the
+// vacated tail is cleared so it keeps nothing alive.
+func ScanRetired[T any](snap []uintptr, retired, free []*T, maxFree int, scrub func(*T)) (kept, newFree []*T) {
+	slices.Sort(snap)
+	kept = retired[:0]
+	for _, x := range retired {
+		if _, held := slices.BinarySearch(snap, uintptr(unsafe.Pointer(x))); held {
+			kept = append(kept, x)
+			continue
 		}
-		switch {
-		case held:
-			keep = append(keep, b)
-		case len(a.free) < maxFree:
-			a.free = append(a.free, b)
+		if scrub != nil {
+			scrub(x)
+		}
+		if len(free) < maxFree {
+			free = append(free, x)
 		}
 	}
-	for i := len(keep); i < len(a.limbo); i++ {
-		a.limbo[i] = nil
-	}
-	a.limbo = keep
-	for i := range hz {
-		hz[i] = nil // the scratch must not pin batches until the next scan
-	}
-	a.hzbuf = hz[:0]
+	clear(retired[len(kept):])
+	return kept, free
 }
 
 // nextBatch produces the batch Freeze installs: a recycled one when
@@ -708,9 +720,9 @@ func (e *Engine[S, P]) reclaim(a *aggregator[S, P]) {
 // The reclaim epoch lives here: a full hazard scan runs at most once
 // per reclaimPeriod freezes - or early, when the limbo list crosses
 // its high-water mark - instead of on every freeze that finds the free
-// list dry. reclaimPeriod equals maxFree, so one scan stocks the free
-// list for the whole epoch and the deferred freezes between scans
-// still reuse batches rather than allocate.
+// list dry. reclaimPeriod is half of maxFree, so a scan leaves the
+// free list deep enough to feed the deferred freezes until the next
+// one even when more batches are held by hazards than at the last.
 func (e *Engine[S, P]) nextBatch(agg int) *Batch[S, P] {
 	if !e.recycle {
 		return e.NewBatch()
@@ -867,6 +879,11 @@ func (e *Engine[S, P]) LimboLen(agg int) int { return len(e.aggs[agg].limbo) }
 
 // InUse reports how many sessions are currently live.
 func (e *Engine[S, P]) InUse() int { return e.tids.InUse() }
+
+// HighWater reports one past the highest session id ever handed out:
+// every live session's id lies below it, so a scan of per-session
+// state indexed by id stops there.
+func (e *Engine[S, P]) HighWater() int { return e.tids.HighWater() }
 
 // MaxThreads reports the live-session bound.
 func (e *Engine[S, P]) MaxThreads() int { return e.maxThreads }
@@ -1269,7 +1286,7 @@ func (e *Engine[S, P]) Pop(id, agg int) PopTicket[S, P] {
 		if sb == nil {
 			sb = e.newSoloBatch(id)
 		}
-		if e.trySoloPop(agg, sb) {
+		if e.trySoloPop(id, agg, sb) {
 			e.soloHit(agg)
 			return PopTicket[S, P]{B: sb, Off: 0, K: 1}
 		}
@@ -1302,7 +1319,7 @@ func (e *Engine[S, P]) Pop(id, agg int) PopTicket[S, P] {
 
 		k := popAtF - el
 		if seq == el { // first survivor: combiner
-			e.applyPop(agg, b, el, popAtF)
+			e.applyPop(id, agg, b, el, popAtF)
 			b.popApplied.Store(true)
 		} else {
 			var w backoff.Waiter
@@ -1331,7 +1348,7 @@ func (e *Engine[S, P]) TryPop(id, agg int) (PopTicket[S, P], bool) {
 		return PopTicket[S, P]{}, false
 	}
 	sb := e.soloBatch(id)
-	if !e.trySoloPop(agg, sb) {
+	if !e.trySoloPop(id, agg, sb) {
 		return PopTicket[S, P]{}, false
 	}
 	return PopTicket[S, P]{B: sb, Off: 0, K: 1}, true

@@ -32,7 +32,7 @@ func noopSpec(aggs, maxThreads int, partitioned bool) Spec[int64, struct{}] {
 		MaxThreads:  maxThreads,
 		Partitioned: partitioned,
 		ApplyPush:   func(int, *Batch[int64, struct{}], int64, int64) {},
-		ApplyPop:    func(int, *Batch[int64, struct{}], int64, int64) {},
+		ApplyPop:    func(int, int, *Batch[int64, struct{}], int64, int64) {},
 	}
 }
 
@@ -184,7 +184,7 @@ func TestCombinerUniqueness(t *testing.T) {
 			batches.Store(b, struct{}{})
 			b.Data.pushCalls.Add(1)
 		},
-		ApplyPop: func(_ int, b *Batch[int64, *applyLog], _, _ int64) {
+		ApplyPop: func(_, _ int, b *Batch[int64, *applyLog], _, _ int64) {
 			batches.Store(b, struct{}{})
 			b.Data.popCalls.Add(1)
 		},
@@ -241,7 +241,7 @@ func TestEliminationHandshake(t *testing.T) {
 		ApplyPush: func(_ int, b *Batch[int64, struct{}], seq, pushAtF int64) {
 			applied.Add(pushAtF - seq)
 		},
-		ApplyPop: func(_ int, b *Batch[int64, struct{}], el, popAtF int64) {
+		ApplyPop: func(_, _ int, b *Batch[int64, struct{}], el, popAtF int64) {
 			applied.Add(popAtF - el)
 		},
 	})
@@ -330,7 +330,7 @@ func TestRecycledBatchAliasing(t *testing.T) {
 				b.Data[i] = *b.WaitSlot(i) + 100
 			}
 		},
-		ApplyPop: func(int, *Batch[int64, []int64], int64, int64) {},
+		ApplyPop: func(int, int, *Batch[int64, []int64], int64, int64) {},
 	})
 	id, err := e.Register()
 	if err != nil {
@@ -550,8 +550,8 @@ func TestTryPopStealBypassesProtocol(t *testing.T) {
 		Eliminate:   NoElim,
 		MakeData:    func(n int) []int64 { return make([]int64, n) },
 		ApplyPush:   func(int, *Batch[int64, []int64], int64, int64) {},
-		ApplyPop:    func(int, *Batch[int64, []int64], int64, int64) {},
-		TrySoloPop: func(_ int, b *Batch[int64, []int64]) bool {
+		ApplyPop:    func(int, int, *Batch[int64, []int64], int64, int64) {},
+		TrySoloPop: func(_, _ int, b *Batch[int64, []int64]) bool {
 			if contended.Load() {
 				return false
 			}
@@ -601,7 +601,7 @@ func TestSoloFastPathEngages(t *testing.T) {
 				b.Data[i] = ctr.Add(*b.WaitSlot(i))
 			}
 		},
-		ApplyPop: func(int, *Batch[int64, []int64], int64, int64) {},
+		ApplyPop: func(int, int, *Batch[int64, []int64], int64, int64) {},
 		TrySoloPush: func(_ int, b *Batch[int64, []int64]) bool {
 			b.Data[0] = ctr.Add(*b.Slot(0))
 			return true
@@ -646,7 +646,7 @@ func TestSoloFallbackOnContention(t *testing.T) {
 		ApplyPush: func(_ int, b *Batch[int64, struct{}], seq, pushAtF int64) {
 			applied.Add(pushAtF - seq)
 		},
-		ApplyPop:    func(int, *Batch[int64, struct{}], int64, int64) {},
+		ApplyPop:    func(int, int, *Batch[int64, struct{}], int64, int64) {},
 		TrySoloPush: func(int, *Batch[int64, struct{}]) bool { return false }, // always contended
 	})
 	id, err := e.Register()
@@ -754,7 +754,7 @@ func TestAdaptiveRecyclingStress(t *testing.T) {
 		ApplyPush: func(_ int, b *Batch[int64, struct{}], seq, pushAtF int64) {
 			state.Add(pushAtF - seq)
 		},
-		ApplyPop: func(_ int, b *Batch[int64, struct{}], el, popAtF int64) {
+		ApplyPop: func(_, _ int, b *Batch[int64, struct{}], el, popAtF int64) {
 			state.Add(-(popAtF - el))
 		},
 	}
@@ -764,7 +764,7 @@ func TestAdaptiveRecyclingStress(t *testing.T) {
 		old := state.Load()
 		return state.CompareAndSwap(old, old+1)
 	}
-	spec.TrySoloPop = func(_ int, b *Batch[int64, struct{}]) bool {
+	spec.TrySoloPop = func(_, _ int, b *Batch[int64, struct{}]) bool {
 		old := state.Load()
 		return state.CompareAndSwap(old, old-1)
 	}
@@ -818,9 +818,9 @@ func TestAdaptiveFullProtocolUnderContention(t *testing.T) {
 		Partitioned: true,
 		Adaptive:    true,
 		ApplyPush:   func(int, *Batch[int64, struct{}], int64, int64) {},
-		ApplyPop:    func(int, *Batch[int64, struct{}], int64, int64) {},
+		ApplyPop:    func(int, int, *Batch[int64, struct{}], int64, int64) {},
 		TrySoloPush: func(int, *Batch[int64, struct{}]) bool { return false },
-		TrySoloPop:  func(int, *Batch[int64, struct{}]) bool { return false },
+		TrySoloPop:  func(int, int, *Batch[int64, struct{}]) bool { return false },
 		Metrics:     m,
 	})
 	const g = 4
@@ -880,7 +880,7 @@ func TestPushTicketSeq(t *testing.T) {
 				b.Data[i] = *b.WaitSlot(i) + 100
 			}
 		},
-		ApplyPop: func(int, *Batch[int64, []int64], int64, int64) {},
+		ApplyPop: func(int, int, *Batch[int64, []int64], int64, int64) {},
 	})
 	for v := int64(0); v < 50; v++ {
 		val := v
@@ -910,7 +910,7 @@ func TestTryPushStealBypassesProtocol(t *testing.T) {
 		Eliminate:   NoElim,
 		MakeData:    func(n int) []int64 { return make([]int64, n) },
 		ApplyPush:   func(int, *Batch[int64, []int64], int64, int64) {},
-		ApplyPop:    func(int, *Batch[int64, []int64], int64, int64) {},
+		ApplyPop:    func(int, int, *Batch[int64, []int64], int64, int64) {},
 		TrySoloPush: func(_ int, b *Batch[int64, []int64]) bool {
 			if contended.Load() {
 				return false
@@ -1072,5 +1072,50 @@ func TestSpinInheritanceSeedsSoloMode(t *testing.T) {
 	e.inheritCtl(1)
 	if !e.soloMode(1) {
 		t.Fatal("inherited degree ~1 did not seed solo mode")
+	}
+}
+
+// TestAllocCeilingBatchPinToggle: the number of retired batches some
+// session's hazard still holds may rise and fall between two reclaim
+// scans, as sessions park mid-operation and resume. Two sessions
+// toggle hazards on the two newest batches every 8, 5 or 16 of a
+// worker session's singleton-batch freezes; the free list must never run dry,
+// so the steady-state freeze path allocates nothing.
+func TestAllocCeilingBatchPinToggle(t *testing.T) {
+	for _, every := range []int{8, 5, 16} {
+		spec := noopSpec(1, 8, true)
+		spec.Recycle = true
+		e := New(spec)
+		var ids [3]int
+		for i := range ids {
+			id, err := e.Register()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = id
+		}
+		worker, p1, p2 := ids[0], ids[1], ids[2]
+		v := int64(1)
+		pinned := false
+		run := func(n int) {
+			for i := range n {
+				if i%every == 0 {
+					if pinned {
+						e.Done(p1)
+						e.Done(p2)
+					} else {
+						e.Push(p1, 0, &v) // freezes a batch and keeps it published
+						e.Push(p2, 0, &v)
+					}
+					pinned = !pinned
+				}
+				e.Push(worker, 0, &v)
+				e.Done(worker)
+			}
+		}
+		run(1000) // warm-up: stock the free list
+		if got := testing.AllocsPerRun(1, func() { run(10000) }); got != 0 {
+			t.Errorf("toggling every %d freezes: %v mallocs over 10k worker freezes, want 0", every, got)
+		}
 	}
 }

@@ -49,8 +49,8 @@ type Config struct {
 	// NoElimination disables in-batch elimination (the SEC ablation).
 	NoElimination bool
 
-	// Recycle routes SEC stack nodes through epoch-based reclamation
-	// instead of fresh allocation.
+	// Recycle reuses popped SEC stack nodes, protected by hazard
+	// pointers, instead of allocating a fresh node per push.
 	Recycle bool
 
 	// Adaptive enables contention adaptivity in the batch-protocol
@@ -218,8 +218,10 @@ func WithoutElimination() Option {
 	return func(c *Config) { c.NoElimination = true }
 }
 
-// WithRecycling routes SEC stack nodes through epoch-based reclamation
-// instead of the garbage collector.
+// WithRecycling reuses popped SEC stack nodes instead of allocating a
+// fresh node per push and leaving the popped one to the garbage
+// collector; hazard pointers keep a node from reuse while another
+// session may still read it.
 func WithRecycling() Option {
 	return func(c *Config) { c.Recycle = true }
 }

@@ -39,10 +39,11 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"secstack/internal/agg"
-	"secstack/internal/ebr"
 	"secstack/internal/metrics"
+	"secstack/internal/pad"
 )
 
 // node is one cell of the shared stack (and of batch substacks).
@@ -63,11 +64,47 @@ type popChain[T any] struct {
 	// pending (recycling only) counts surviving pops that have not yet
 	// read their return value; the reader that decrements it to zero
 	// retires the detached chain. Retiring per-node as values are read
-	// would violate epoch reclamation's contract: the chain stays
-	// reachable through top, and a sibling waiter whose critical
-	// section began after an early retire could still traverse the
-	// retired node.
+	// would be unsound: the chain stays reachable through top, and a
+	// sibling waiter still walking to its offset publishes no hazard for
+	// the detached nodes it traverses.
 	pending atomic.Int64
+}
+
+const (
+	// scanFloor is the fewest retires between two hazard scans of a
+	// handle. A scan reads the two slots of every HighWater session, so
+	// it also waits for at least twice that many slots' worth of
+	// retires: each scan then frees at least half of what it examines.
+	scanFloor = 64
+
+	// maxFree bounds a handle's free list; nodes a scan frees past it go
+	// to the garbage collector.
+	maxFree = 256
+)
+
+// nodeHazards is one session's pair of published node references
+// (recycling only), indexed by its engine tid like agg's batch
+// HazardSlots and padded so sessions do not share a line. Slot 0 holds
+// the top a pop loaded; slot 1 the node below it that a pop combiner
+// is reading. Only the owning session writes them; they may stay set
+// between operations, pinning at most two nodes, and Close clears them.
+type nodeHazards[T any] struct {
+	p [2]atomic.Pointer[node[T]]
+	_ [pad.CacheLine - 16]byte
+}
+
+// recycler is a handle's node-recycling state: its hazard slots, the
+// nodes it popped from the shared stack and retired, and the free list
+// a scan moves unpublished ones to.
+type recycler[T any] struct {
+	hp      *nodeHazards[T]
+	free    []*node[T]
+	retired []*node[T]
+
+	// snap is the scan's scratch: the addresses of the nodes published
+	// in its single pass over the hazard slots. Addresses, not pointers,
+	// so the scratch never keeps a node alive.
+	snap []uintptr
 }
 
 // secBatch and secEngine name this package's engine instantiation.
@@ -105,9 +142,10 @@ type Options struct {
 	// of SEC's win comes from elimination versus combining.
 	NoElimination bool
 
-	// Recycle routes node allocation through DEBRA-style epoch-based
-	// reclamation (internal/ebr) instead of fresh allocation, the Go
-	// analogue of the paper's DEBRA deployment (§4).
+	// Recycle reuses popped nodes instead of allocating a fresh node
+	// per push, the Go analogue of the paper's DEBRA deployment. A node
+	// returns to a handle's free list once no session's hazard pointer
+	// names it (DESIGN.md §4).
 	Recycle bool
 
 	// CollectMetrics enables the batching/elimination/combining degree
@@ -145,7 +183,7 @@ type Stack[T any] struct {
 	top atomic.Pointer[node[T]]
 
 	eng *secEngine[T]
-	rec *ebr.Manager[node[T]]
+	hp  []nodeHazards[T] // per-session node hazards; nil when recycling is off
 }
 
 // New returns an empty SEC stack configured by opts.
@@ -161,7 +199,7 @@ func New[T any](opts Options) *Stack[T] {
 		m = metrics.NewSEC(o.Aggregators)
 	}
 	if o.Recycle {
-		s.rec = ebr.NewManager[node[T]](o.MaxThreads)
+		s.hp = make([]nodeHazards[T], o.MaxThreads)
 	}
 	s.eng = agg.New(agg.Spec[node[T], popChain[T]]{
 		Aggregators:  o.Aggregators,
@@ -201,7 +239,7 @@ func (s *Stack[T]) Metrics() *metrics.SEC { return s.eng.Metrics() }
 type Handle[T any] struct {
 	s      *Stack[T]
 	tid    int
-	rec    *ebr.Handle[node[T]] // nil when recycling is off
+	rec    *recycler[T] // nil when recycling is off
 	closed bool
 
 	// hz is the session's cached hazard slot (nil without batch
@@ -210,7 +248,7 @@ type Handle[T any] struct {
 	hz *agg.HazardSlot[node[T], popChain[T]]
 
 	// spare is a scrubbed node recovered from a failed TryPush when no
-	// reclamation substrate exists to take it (rec == nil); the next
+	// free list exists to take it (rec == nil); the next
 	// alloc reuses it, so a contended steal sweep costs CASes, not
 	// dead allocations.
 	spare *node[T]
@@ -238,8 +276,8 @@ func (s *Stack[T]) TryRegister() (*Handle[T], error) {
 		return nil, fmt.Errorf("core: more than MaxThreads=%d handles live", s.eng.MaxThreads())
 	}
 	h := &Handle[T]{s: s, tid: tid, hz: s.eng.Hazard(tid)}
-	if s.rec != nil {
-		h.rec = s.rec.Register()
+	if s.hp != nil {
+		h.rec = &recycler[T]{hp: &s.hp[tid]}
 	}
 	return h, nil
 }
@@ -255,58 +293,119 @@ func (h *Handle[T]) SetDoneCadence(k int) {
 	h.s.eng.SetDoneCadence(h.tid, k)
 }
 
-// Close releases the handle's thread id (and its reclamation slot) for
-// reuse by a future Register, so goroutine churn cannot exhaust
-// MaxThreads. Close is idempotent; any other use of a closed handle is
-// a bug. It must not be called while an operation on the handle is in
-// flight.
+// Close releases the handle's thread id for reuse by a future
+// Register, so goroutine churn cannot exhaust MaxThreads, and clears
+// the session's node hazards so an idle id pins nothing. The handle's
+// retired and free nodes go to the garbage collector: a retired node
+// may still be published by another session, and letting the GC have
+// it is always safe in Go. Close is idempotent; any other use of a
+// closed handle is a bug. It must not be called while an operation on
+// the handle is in flight.
 func (h *Handle[T]) Close() {
 	if h.closed {
 		return
 	}
 	h.closed = true
-	if h.rec != nil {
-		h.rec.Close()
+	if r := h.rec; r != nil {
+		r.hp.p[0].Store(nil)
+		r.hp.p[1].Store(nil)
+		r.free, r.retired, r.snap = nil, nil, nil
 	}
 	h.s.eng.Release(h.tid)
 }
 
 // alloc produces an initialized node, recycled when possible (from the
-// EBR pool, or from the spare a failed TryPush left behind).
+// handle's free list, or from the spare a failed TryPush left behind).
 func (h *Handle[T]) alloc(v T) *node[T] {
-	if h.rec == nil {
-		if n := h.spare; n != nil {
-			h.spare = nil
+	if r := h.rec; r != nil {
+		if i := len(r.free) - 1; i >= 0 {
+			n := r.free[i]
+			r.free[i] = nil
+			r.free = r.free[:i]
 			n.value = v
+			n.next = nil
 			return n
 		}
 		return &node[T]{value: v}
 	}
-	n := h.rec.Alloc()
-	n.value = v
-	n.next = nil
-	return n
+	if n := h.spare; n != nil {
+		h.spare = nil
+		n.value = v
+		return n
+	}
+	return &node[T]{value: v}
 }
 
-// retire hands a consumed node to the reclamation substrate.
+// unalloc hands a node that never reached the shared stack straight
+// back to the free list: no other session can have published it.
+func (r *recycler[T]) unalloc(n *node[T]) {
+	if len(r.free) < maxFree {
+		r.free = append(r.free, n)
+	}
+}
+
+// retire queues a node this handle popped from the shared stack, and
+// runs a hazard scan once the queue is long enough: at least scanFloor
+// nodes and at least twice the two slots of every HighWater session.
 func (h *Handle[T]) retire(n *node[T]) {
-	if h.rec != nil {
-		h.rec.Retire(n)
+	r := h.rec
+	r.retired = append(r.retired, n)
+	if len(r.retired) < scanFloor {
+		return
+	}
+	if hw := h.s.eng.HighWater(); len(r.retired) >= 4*hw {
+		r.scan(h.s.hp[:hw])
 	}
 }
 
-// enter/exit bracket one operation's EBR critical section (no-ops when
-// recycling is off).
-func (h *Handle[T]) enter() {
-	if h.rec != nil {
-		h.rec.Enter()
+// scan moves every retired node no hazard slot in hp names to the free
+// list (up to maxFree; the rest go to the garbage collector) and keeps
+// the published ones for a later scan. One pass reads the slots into
+// the snapshot; agg.ScanRetired filters the retired list against it.
+// A node that leaves has its link cleared, so neither a node some
+// hazard still pins nor one on the free list keeps a chain of dropped
+// nodes reachable.
+//
+// Soundness: a reader publishes a node and then re-checks that it is
+// still reachable from the top before dereferencing it. A node is
+// retired only after a CAS removed it from the stack, and no removed
+// node returns to the stack unless recycled. So a reader whose check
+// succeeded published before the retire, and this scan sees its slot;
+// one whose check failed never touches the node.
+func (r *recycler[T]) scan(hp []nodeHazards[T]) {
+	snap := r.snap[:0]
+	for i := range hp {
+		for j := range hp[i].p {
+			if p := hp[i].p[j].Load(); p != nil {
+				snap = append(snap, uintptr(unsafe.Pointer(p)))
+			}
+		}
 	}
+	r.retired, r.free = agg.ScanRetired(snap, r.retired, r.free, maxFree, unlink[T])
+	r.snap = snap
 }
 
-func (h *Handle[T]) exit() {
-	if h.rec != nil {
-		h.rec.Exit()
+// unlink clears a node's link as it leaves the retired list. No hazard
+// names the node then, so no reader can still follow the link.
+func unlink[T any](n *node[T]) { n.next = nil }
+
+// protectTop loads the top and publishes it in slot, re-loading until
+// the published node is still the top: from then on it cannot be
+// recycled while slot names it, so its fields are safe to read. A slot
+// that already names the loaded top needs no new publish: only the
+// owner writes it, so it named the node while the load found the node
+// on the stack.
+func (s *Stack[T]) protectTop(slot *atomic.Pointer[node[T]]) *node[T] {
+	n := s.top.Load()
+	for n != nil && slot.Load() != n {
+		slot.Store(n)
+		m := s.top.Load()
+		if m == n {
+			break
+		}
+		n = m
 	}
+	return n
 }
 
 // Push adds v to the stack (Algorithm 1 of the paper). The batch
@@ -315,13 +414,11 @@ func (h *Handle[T]) exit() {
 // paired pop reads the node from the elimination array), a surviving
 // push returns once its batch's combiner spliced the substack.
 func (h *Handle[T]) Push(v T) {
-	h.enter()
 	eng := h.s.eng
 	eng.Push(h.tid, eng.AggOf(h.tid), h.alloc(v))
 	if hz := h.hz; hz != nil && hz.Tick() {
 		hz.Clear()
 	}
-	h.exit()
 }
 
 // applyPush is the paper's PushToStack, executed only by a batch's
@@ -349,18 +446,19 @@ func (s *Stack[T]) applyPush(_ int, b *secBatch[T], seq, pushAtF int64) {
 // ok is false if the stack did not hold enough elements for this
 // operation's slice of its batch.
 func (h *Handle[T]) Pop() (v T, ok bool) {
-	h.enter()
 	eng := h.s.eng
 	t := eng.Pop(h.tid, eng.AggOf(h.tid))
 	if t.Elim != nil {
 		// Eliminated: the paired push's node came straight from the
-		// elimination array.
+		// elimination array. It never reached the shared stack, so no
+		// hazard can name it and it is free for reuse at once.
 		val := t.Elim.value
-		h.retire(t.Elim)
+		if h.rec != nil {
+			h.rec.unalloc(t.Elim)
+		}
 		if hz := h.hz; hz != nil && hz.Tick() {
 			hz.Clear()
 		}
-		h.exit()
 		return val, true
 	}
 	v, ok = getValue(t.B, t.Off)
@@ -368,7 +466,6 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 	if hz := h.hz; hz != nil && hz.Tick() {
 		hz.Clear() // finished with the batch's published chain
 	}
-	h.exit()
 	return v, ok
 }
 
@@ -384,18 +481,15 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 // a batch, never eliminates, and feeds no adaptivity signal - a
 // foreign thief's probe says nothing about the home threads' degree.
 func (h *Handle[T]) TryPop() (v T, ok, applied bool) {
-	h.enter()
 	eng := h.s.eng
 	t, applied := eng.TryPop(h.tid, eng.AggOf(h.tid))
 	if !applied {
-		h.exit()
 		return v, false, false
 	}
 	v, ok = getValue(t.B, t.Off)
 	h.releaseSubstack(t.B, t.K)
 	// No Done: TryPop announces on no shared batch, so the session's
-	// hazard was never published.
-	h.exit()
+	// batch hazard was never published.
 	return v, ok, true
 }
 
@@ -405,12 +499,11 @@ func (h *Handle[T]) TryPop() (v T, ok, applied bool) {
 // aggregator's mode - the steal primitive behind the pool's
 // Put-overflow sweep. applied=false means the CAS lost to a concurrent
 // operation: the stack is unchanged, nothing was announced, the node
-// is recovered (into the handle's reclamation pool, or as the handle's
-// spare when recycling is off), and the caller may try elsewhere or
+// is recovered (onto the handle's free list, or as the handle's spare
+// when recycling is off), and the caller may try elsewhere or
 // escalate to the full Push. Like TryPop it never joins a batch, never
 // eliminates, and feeds no adaptivity signal.
 func (h *Handle[T]) TryPush(v T) (applied bool) {
-	h.enter()
 	eng := h.s.eng
 	n := h.alloc(v)
 	if _, applied = eng.TryPush(h.tid, eng.AggOf(h.tid), n); !applied {
@@ -420,24 +513,25 @@ func (h *Handle[T]) TryPush(v T) (applied bool) {
 		n.value = zero
 		n.next = nil
 		if h.rec != nil {
-			h.rec.Unalloc(n)
+			h.rec.unalloc(n)
 		} else {
 			h.spare = n
 		}
 	}
 	// No Done: TryPush announces on no shared batch, so the session's
-	// hazard was never published.
-	h.exit()
+	// batch hazard was never published.
 	return applied
 }
 
 // applyPop is the paper's PopFromStack, executed only by a batch's
-// pop combiner: detach k nodes (or as many as exist) from the shared
-// stack with one CAS and publish the removed chain.
-func (s *Stack[T]) applyPop(_ int, b *secBatch[T], e, popAtF int64) {
+// pop combiner (session id): detach k nodes (or as many as exist) from
+// the shared stack with one CAS and publish the removed chain.
+func (s *Stack[T]) applyPop(id, _ int, b *secBatch[T], e, popAtF int64) {
 	k := popAtF - e
-	if s.rec != nil {
+	if s.hp != nil {
 		b.Data.pending.Store(k) // published to waiters by the applied flag
+		b.Data.top.Store(s.detachProtected(&s.hp[id], k))
+		return
 	}
 	for {
 		oldTop := s.top.Load()
@@ -448,6 +542,34 @@ func (s *Stack[T]) applyPop(_ int, b *secBatch[T], e, popAtF int64) {
 		if s.top.CompareAndSwap(oldTop, newTop) {
 			b.Data.top.Store(oldTop)
 			return
+		}
+	}
+}
+
+// detachProtected is applyPop's detach loop under node recycling. The
+// combiner keeps the top it loaded published in slot 0 and each node
+// it reads below it in slot 1, hand over hand, re-checking after every
+// publish that the top has not moved: while it has not, the chain down
+// to the published node is still on the stack, so no read touches a
+// recycled node. A moved top restarts the attempt, as a lost CAS does.
+// The protected top also excludes ABA: it cannot be recycled and pushed
+// back, so a successful CAS means it never left the stack.
+func (s *Stack[T]) detachProtected(hp *nodeHazards[T], k int64) *node[T] {
+retry:
+	for {
+		oldTop := s.protectTop(&hp.p[0])
+		newTop := oldTop
+		for i := int64(0); i < k && newTop != nil; i++ {
+			if i > 0 {
+				hp.p[1].Store(newTop)
+				if s.top.Load() != oldTop {
+					continue retry
+				}
+			}
+			newTop = newTop.next
+		}
+		if s.top.CompareAndSwap(oldTop, newTop) {
+			return oldTop
 		}
 	}
 }
@@ -469,14 +591,20 @@ func (s *Stack[T]) trySoloPush(_ int, b *secBatch[T]) bool {
 // (so getValue and releaseSubstack serve solo pops unchanged). An
 // observed-empty stack "succeeds" with a nil chain - the operation
 // linearizes at the top load. ABA is excluded the same way as in
-// applyPop: under EBR recycling the operation is inside its critical
-// section, and without it the garbage collector pins the node.
-func (s *Stack[T]) trySoloPop(_ int, b *secBatch[T]) bool {
-	old := s.top.Load()
+// applyPop: under recycling session id's hazard slot 0 protects the
+// top before its next field is read, and without recycling the garbage
+// collector pins the node.
+func (s *Stack[T]) trySoloPop(id, _ int, b *secBatch[T]) bool {
+	var old *node[T]
+	if s.hp != nil {
+		old = s.protectTop(&s.hp[id].p[0])
+	} else {
+		old = s.top.Load()
+	}
 	if old != nil && !s.top.CompareAndSwap(old, old.next) {
 		return false
 	}
-	if s.rec != nil {
+	if s.hp != nil {
 		b.Data.pending.Store(1)
 	}
 	b.Data.top.Store(old)
@@ -515,15 +643,19 @@ func (h *Handle[T]) releaseSubstack(b *secBatch[T], k int64) {
 }
 
 // Peek returns the top element without removing it; a single atomic
-// read of the top pointer, as in the paper.
+// read of the top pointer, as in the paper. Under recycling the top is
+// published in the session's hazard slot 0 before its value is read,
+// since a popped node may be scrubbed and reused at any moment.
 func (h *Handle[T]) Peek() (v T, ok bool) {
-	h.enter()
-	if n := h.s.top.Load(); n != nil {
-		// Read inside the critical section: under recycling the node
-		// may be scrubbed and reused the moment we exit.
+	var n *node[T]
+	if r := h.rec; r != nil {
+		n = h.s.protectTop(&r.hp.p[0])
+	} else {
+		n = h.s.top.Load()
+	}
+	if n != nil {
 		v, ok = n.value, true
 	}
-	h.exit()
 	return v, ok
 }
 

@@ -227,7 +227,7 @@ func TestBatchSubstackOrder(t *testing.T) {
 }
 
 // TestRecycleActuallyRecycles: under sustained push/pop churn with
-// recycling enabled, nodes must flow through the EBR free lists.
+// recycling enabled, nodes must flow through the handles' free lists.
 func TestRecycleActuallyRecycles(t *testing.T) {
 	s := core.New[int64](core.Options{Recycle: true})
 	var wg sync.WaitGroup
@@ -321,19 +321,6 @@ func TestTryRegisterBackpressure(t *testing.T) {
 		t.Fatalf("TryRegister after Close: %v", err)
 	}
 	h2.Close()
-}
-
-// TestCloseWithRecyclingReleasesEBRSlot checks that Close releases the
-// epoch-reclamation slot too: with MaxThreads=1 and recycling on, churn
-// would exhaust the EBR manager if slots leaked.
-func TestCloseWithRecyclingReleasesEBRSlot(t *testing.T) {
-	s := core.New[int64](core.Options{MaxThreads: 1, Recycle: true})
-	for i := 0; i < 5; i++ {
-		h := s.Register()
-		h.Push(int64(i))
-		h.Pop()
-		h.Close()
-	}
 }
 
 // TestTryPopStealAnswers pins the steal primitive's three outcomes on

@@ -125,7 +125,7 @@ func TestApplyPopExactCount(t *testing.T) {
 		s.top.Store(chain)
 
 		b := s.eng.NewBatch()
-		s.applyPop(0, b, 0, k)
+		s.applyPop(0, 0, b, 0, k)
 		if got := int64(10) - int64(s.Len()); got != k {
 			t.Fatalf("k=%d: removed %d nodes", k, got)
 		}
@@ -145,7 +145,7 @@ func TestApplyPopDrainsShortStack(t *testing.T) {
 	s := New[int](Options{Aggregators: 1})
 	s.top.Store(&node[int]{value: 1, next: &node[int]{value: 2}})
 	b := s.eng.NewBatch()
-	s.applyPop(0, b, 0, 4)
+	s.applyPop(0, 0, b, 0, 4)
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", s.Len())
 	}
@@ -168,7 +168,7 @@ func TestApplyPopDrainsShortStack(t *testing.T) {
 func TestApplyPopEmptyStack(t *testing.T) {
 	s := New[int](Options{Aggregators: 1})
 	b := s.eng.NewBatch()
-	s.applyPop(0, b, 0, 3)
+	s.applyPop(0, 0, b, 0, 3)
 	if b.Data.top.Load() != nil {
 		t.Fatal("detached chain non-nil on empty stack")
 	}
@@ -184,8 +184,6 @@ func TestApplyPopEmptyStack(t *testing.T) {
 func TestReleaseSubstackCountdown(t *testing.T) {
 	s := New[int](Options{Aggregators: 1, Recycle: true})
 	h := s.Register()
-	h.rec.Enter()
-	defer h.rec.Exit()
 
 	var chain *node[int]
 	for i := 0; i < 5; i++ {
@@ -195,18 +193,18 @@ func TestReleaseSubstackCountdown(t *testing.T) {
 
 	b := s.eng.NewBatch()
 	const k = 3
-	s.applyPop(0, b, 0, k)
+	s.applyPop(0, 0, b, 0, k)
 	if got := b.Data.pending.Load(); got != k {
 		t.Fatalf("pending = %d, want %d", got, k)
 	}
 	h.releaseSubstack(b, k)
 	h.releaseSubstack(b, k)
-	if got := h.rec.LimboCount(); got != 0 {
-		t.Fatalf("nodes retired before the last reader: limbo=%d", got)
+	if got := len(h.rec.retired); got != 0 {
+		t.Fatalf("nodes retired before the last reader: retired=%d", got)
 	}
 	h.releaseSubstack(b, k)
-	if got := h.rec.LimboCount(); got != k {
-		t.Fatalf("limbo = %d after last reader, want %d", got, k)
+	if got := len(h.rec.retired); got != k {
+		t.Fatalf("retired = %d after last reader, want %d", got, k)
 	}
 }
 

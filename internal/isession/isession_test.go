@@ -162,3 +162,63 @@ func TestCleanupRetiresDroppedHandles(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestLastNeverPinsMovedEntry: a slot's last-entry hint names only an
+// entry parked in the slot or acquired from it. When Release spills an
+// entry because its slot is taken, or scavenge steals it, the hint is
+// cleared - otherwise it would keep a dropped spill entry reachable and
+// its reclaim cleanup, which gives the session back, could never run.
+func TestLastNeverPinsMovedEntry(t *testing.T) {
+	reg := &capReg{cap: 4}
+	s := New(true, reg.register, reg.close)
+	hinted := func() *Entry[*testHandle] {
+		t.Helper()
+		e := s.Acquire()
+		for i := 0; s.slots[e.p].last.Load() != e; i++ {
+			if i == 1000 {
+				t.Fatal("fast-path acquires never recorded the entry as the slot's last")
+			}
+			s.Release(e)
+			e = s.Acquire()
+		}
+		return e
+	}
+
+	e := hinted()
+	p := e.p
+	s.Release(e)
+	if got := s.scavenge(); got != e {
+		t.Fatal("scavenge did not steal the parked entry")
+	}
+	if s.slots[p].last.Load() == e {
+		t.Fatal("scavenge left the stolen entry as its slot's last")
+	}
+	s.Release(e)
+
+	e = hinted()
+	p = e.p
+	other := &Entry[*testHandle]{H: &testHandle{id: -1}, p: -1}
+	s.slots[p].e.Store(other) // the slot is taken: e must spill
+	s.Release(e)
+	if s.slots[p].last.Load() == e {
+		t.Fatal("Release spilled the entry but left it as its slot's last")
+	}
+	s.slots[p].e.CompareAndSwap(other, nil)
+	e = nil
+
+	// Drop whatever is still parked too, so every entry is unreachable
+	// but through the spill pool: each session comes back only once the
+	// GC drops its entry and the cleanup runs.
+	for i := range s.slots {
+		s.slots[i].e.Store(nil)
+		s.slots[i].last.Store(nil)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.live.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still live after the spilled entry was dropped, want 0", reg.live.Load())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}

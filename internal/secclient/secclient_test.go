@@ -94,7 +94,7 @@ func TestAllocCeilingDo(t *testing.T) {
 			t.Fatalf("%v: %+v %v", op, rep, err)
 		}
 	}
-	for range 500 { // settle the engines' free lists and EBR epochs
+	for range 500 { // settle the engines' free lists
 		do()
 	}
 	if perOp := testing.AllocsPerRun(1000, do); perOp > 0.05 {

@@ -138,7 +138,7 @@ func TestAllocCeilingServedBurst(t *testing.T) {
 			}
 		}
 	}
-	for range 256 { // settle the engines' free lists and EBR epochs
+	for range 256 { // settle the engines' free lists
 		serve()
 	}
 	perReq := testing.AllocsPerRun(500, serve) / burst

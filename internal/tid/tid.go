@@ -1,10 +1,10 @@
 // Package tid provides a lock-free allocator of small dense integer
 // ids, the substrate behind handle-slot recycling across the
 // repository: every Register path (SEC stack, deque ends, funnel
-// aggregators, pools, epoch-based reclamation slots) draws its thread
-// id from an Allocator and hands it back on Handle.Close, so id slots -
-// and the per-slot state they index - survive unbounded goroutine churn
-// under a fixed capacity.
+// aggregators, pools) draws its thread id from an Allocator and hands
+// it back on Handle.Close, so id slots - and the per-slot state they
+// index, such as the batch and node hazard slots - survive unbounded
+// goroutine churn under a fixed capacity.
 //
 // Ids are allocated from two sources: a monotone fresh counter (ids
 // that have never been used) and a Treiber-style free list of released

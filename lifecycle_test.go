@@ -98,9 +98,9 @@ func TestHandleChurnStacks(t *testing.T) {
 	}
 }
 
-// TestHandleChurnSECRecycling repeats the SEC churn with epoch-based
-// node recycling on, so ebr slot recycling is exercised under churn
-// too.
+// TestHandleChurnSECRecycling repeats the SEC churn with node
+// recycling on, so hazard slots, retired lists and free lists are
+// exercised under churn too.
 func TestHandleChurnSECRecycling(t *testing.T) {
 	s := stack.NewSEC[int64](stack.WithMaxThreads(churnMaxThreads), stack.WithRecycling())
 	for wave := 0; wave < churnWaves; wave++ {

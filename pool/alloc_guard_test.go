@@ -12,12 +12,12 @@ import "testing"
 
 // putOverflowCeiling matches the repository-wide steady-state budget
 // (see the root alloc_guard_test.go): the true rate is 0, the headroom
-// absorbs amortized EBR bag and free-list growth.
+// absorbs amortized retired-list and free-list growth.
 const putOverflowCeiling = 0.25
 
 // TestAllocCeilingPutOverflowHit: a Put that overflows onto a quiet
 // foreign shard is one TryPush CAS through the scratch batch, with the
-// node drawn from the shard's reclamation pool - and the Get that
+// node drawn from the shard handle's free list - and the Get that
 // steals it back retires the node into the same pool, so the whole
 // spill/recover cycle allocates nothing in steady state.
 func TestAllocCeilingPutOverflowHit(t *testing.T) {
@@ -29,7 +29,7 @@ func TestAllocCeilingPutOverflowHit(t *testing.T) {
 	)
 	h := p.Register()
 	defer h.Close()
-	for i := int64(0); i < 4096; i++ { // settle EBR epochs, free lists, scratch batches
+	for i := int64(0); i < 4096; i++ { // settle free lists, scratch batches
 		h.putMiss = p.overflow
 		h.Put(i)
 		h.Get()
@@ -64,7 +64,7 @@ func TestAllocCeilingElasticSteadyState(t *testing.T) {
 	)
 	h := p.Register()
 	defer h.Close()
-	for i := int64(0); i < 4096; i++ { // settle EBR epochs, free lists, controller streaks
+	for i := int64(0); i < 4096; i++ { // settle free lists, controller streaks
 		h.Put(i)
 		h.Get()
 	}

@@ -218,8 +218,8 @@ func WithBatchRecycling(on bool) Option { return config.WithBatchRecycling(on) }
 // Default 2; 0 disables overflow and pins every Put to its home shard.
 func WithPutOverflow(threshold int) Option { return config.WithPutOverflow(threshold) }
 
-// WithRecycling routes the shards' stack nodes through DEBRA-style
-// epoch-based reclamation instead of fresh allocation, so a
+// WithRecycling reuses the shards' popped stack nodes, protected by
+// hazard pointers, instead of allocating a fresh node per Put, so a
 // steady-state Put/Get cycle - overflow steals included - allocates
 // nothing.
 func WithRecycling() Option { return config.WithRecycling() }

@@ -365,7 +365,7 @@ func (q *Queue[T]) applyEnqueue(_ int, b *qBatch[T], seq, pushAtF int64) {
 // trySoloDequeue is the solo fast path's dequeue applier: serve one
 // dequeue under the central lock if it is free right now, publishing
 // the result through the scratch batch's table as applyDequeue would.
-func (q *Queue[T]) trySoloDequeue(_ int, b *qBatch[T]) bool {
+func (q *Queue[T]) trySoloDequeue(_, _ int, b *qBatch[T]) bool {
 	if !q.mu.TryLock() {
 		return false
 	}
@@ -378,7 +378,7 @@ func (q *Queue[T]) trySoloDequeue(_ int, b *qBatch[T]) bool {
 // frozen batch from the ring's head in announcement order, publishing
 // each element (or ok=false once the ring runs empty) through the
 // batch's response table. With elimination off, e is always 0.
-func (q *Queue[T]) applyDequeue(_ int, b *qBatch[T], e, popAtF int64) {
+func (q *Queue[T]) applyDequeue(_, _ int, b *qBatch[T], e, popAtF int64) {
 	k := popAtF - e
 	q.mu.Lock()
 	for i := int64(0); i < k; i++ {

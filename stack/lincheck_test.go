@@ -316,7 +316,8 @@ func runHistoryPutSteal(s *stack.SECStack[int64], threads, opsPer int, seed uint
 // exhaustive checker across the SEC knobs they interact with: stock
 // batching, adaptivity (steals race solo CASes and mode flips), batch
 // recycling (scratch batches alongside recycled protocol batches),
-// node recycling (steals draw from and retire into EBR pools), and
+// node recycling (steals draw from free lists and retire popped
+// nodes under hazard pointers), and
 // many shards under adaptive spin.
 func TestLinearizabilityPutSteal(t *testing.T) {
 	variants := map[string][]stack.Option{

@@ -41,9 +41,11 @@ func WithAdaptiveSpin(on bool) Option { return config.WithAdaptiveSpin(on) }
 // much of the win comes from elimination versus combining.
 func WithoutElimination() Option { return config.WithoutElimination() }
 
-// WithRecycling routes SEC stack nodes through DEBRA-style epoch-based
-// reclamation instead of fresh allocation, the Go analogue of the
-// paper's DEBRA deployment (§4).
+// WithRecycling reuses popped SEC stack nodes instead of allocating a
+// fresh node per push, the Go analogue of the paper's DEBRA
+// deployment. Hazard pointers keep a node from reuse while another
+// session may still read it, so a stalled session pins at most two
+// nodes (DESIGN.md §4).
 func WithRecycling() Option { return config.WithRecycling() }
 
 // WithAdaptive toggles contention adaptivity in SEC (and the other
